@@ -77,6 +77,13 @@ struct Platform::Env {
   std::uint64_t memory_bytes = 0;   ///< committed allocation
   sim::SimTime commit_start = 0;
   sim::SimTime commit_end = -1;     ///< -1 while still committed
+
+  // Invariant ledger state (sync_env): what this environment currently
+  // contributes to the platform-wide ledgers.
+  std::uint32_t bound = 0;          ///< live sessions with env == this
+  bool pin_mismatch = false;        ///< counted in pin_mismatched_envs_
+  std::uint64_t pool_commit = 0;    ///< counted in pool_committed_bytes_
+  bool watched = false;             ///< queued in watched_envs_
 };
 
 struct Platform::SessionState {
@@ -301,14 +308,6 @@ Platform::Platform(PlatformConfig config)
             cid,
             trace_.begin(track, elastic::to_string(to), "lifecycle", now));
       });
-  if (config_.force_invariants && config_.check_invariants &&
-      config_.fault_plan.empty()) {
-    // The property battery wants the oracle active on fault-free runs
-    // too; with a fault plan installed the block below wires it instead.
-    register_invariants();
-    server_->simulator().set_post_event_hook(
-        [this]() { invariants_.run(server_->simulator().now()); });
-  }
   if (!config_.fault_plan.empty()) {
     faults_ = std::make_unique<sim::FaultInjector>(config_.fault_plan,
                                                    config_.seed);
@@ -324,11 +323,13 @@ Platform::Platform(PlatformConfig config)
         config_.crash_detection_latency);
     server_->monitor().set_crash_handler(
         [this](std::uint32_t env_id) { recover_env(env_id); });
-    if (config_.check_invariants) {
-      register_invariants();
-      server_->simulator().set_post_event_hook(
-          [this]() { invariants_.run(server_->simulator().now()); });
-    }
+  }
+  // The oracle is armed under a fault plan, and on fault-free runs when
+  // the property battery asks for it.
+  if (config_.check_invariants &&
+      (faults_ != nullptr || config_.force_invariants)) {
+    register_invariants();
+    server_->simulator().set_post_event_hook([this]() { after_event(); });
   }
 }
 
@@ -416,6 +417,7 @@ Platform::Env& Platform::provision_env(const std::string& binding_key,
     // Dead on arrival (capacity wall): straight to reclaimed.
     lifecycle_.transition(id, elastic::CacState::kReclaimed, now);
   }
+  sync_env(ref);
   return ref;
 }
 
@@ -436,7 +438,7 @@ void Platform::provision_vm(Env& env) {
     metrics_.counter("env.provision_failed").inc();
     env.failed = true;
     env.retired = true;
-    server_->env_db().retire(env.id);
+    retire_record(env);
     server_->simulator().schedule_in(0, [this, &env]() {
       auto waiters = std::move(env.waiters);
       env.waiters.clear();
@@ -504,7 +506,7 @@ void Platform::provision_cac(Env& env) {
     env.retired = true;
     env.memory_bytes = 0;
     env.commit_end = env.commit_start;
-    server_->env_db().retire(env.id);
+    retire_record(env);
     server_->simulator().schedule_in(0, [this, &env]() {
       auto waiters = std::move(env.waiters);
       env.waiters.clear();
@@ -571,6 +573,7 @@ void Platform::env_ready(Env& env) {
                                            : elastic::CacState::kWarmIdle,
                           env.ready_at);
   }
+  sync_env(env);
   auto waiters = std::move(env.waiters);
   env.waiters.clear();
   for (auto& waiter : waiters) waiter();
@@ -602,13 +605,18 @@ void Platform::retire_env(Env& env) {
   server_->monitor().env_down(env.id);
   lifecycle_.transition(env.id, elastic::CacState::kReclaimed,
                         server_->simulator().now());
-  server_->env_db().retire(env.id);
-  server_->warehouse().forget_env(env.id);
+  retire_record(env);
   if (env.is_vm) {
     server_->hypervisor().destroy(env.vm_id);
   } else if (env.cac) {
     env.cac->shutdown(server_->kernel());
   }
+  sync_env(env);
+}
+
+void Platform::retire_record(const Env& env) {
+  server_->env_db().retire(env.id);
+  server_->warehouse().forget_env(env.id);
 }
 
 // ---------------------------------------------------------------------
@@ -634,6 +642,7 @@ void Platform::begin_drain(Env& env) {
       record->state = EnvState::kDraining;
     }
   }
+  sync_env(env);
   if (env.ready && env.inflight == 0) finish_drain(env);
 }
 
@@ -663,6 +672,7 @@ Platform::Env& Platform::prewarm_env() {
   Env& env = provision_env("pool:" + std::to_string(pool_seq_++),
                            server_->simulator().now());
   env.pool = true;
+  sync_env(env);
   metrics_.counter("elastic.prewarmed").inc();
   return env;
 }
@@ -1023,10 +1033,7 @@ void Platform::drain_run() {
           queued_sessions_.erase(s->request.sequence);
           s->queued = false;
         }
-        if (s->admitted) {
-          admission_->release();
-          s->admitted = false;
-        }
+        if (s->admitted) release_slot(*s);
       }
       RequestOutcome outcome;
       outcome.request = s->request;
@@ -1043,7 +1050,7 @@ void Platform::drain_run() {
       outcome.dispatch_attempts = s->dispatch_attempts;
       outcome.connect_attempts = s->connect_attempts;
       record_outcome(s->request.sequence, std::move(outcome));
-      s->done = true;
+      mark_done(*s);
       ++completed_;
       metrics_.counter("sessions.stranded").inc();
       metrics_
@@ -1056,6 +1063,7 @@ void Platform::drain_run() {
     live_sessions_.clear();
     queued_sessions_.clear();
   }
+  if (invariants_.invariant_count() > 0) invariants_.audit(simulator.now());
   trace_.close_open_spans(simulator.now());
   assert(completed_ == outcomes_.size());
 }
@@ -1139,6 +1147,7 @@ void Platform::on_arrival(std::shared_ptr<SessionState> s) {
       server_->access().admit(s->tenant, server_->simulator().now());
   if (deny != AccessDeny::kNone) {
     live_sessions_.push_back(s);
+    ++live_by_tenant_[s->tenant];
     reject_session(s, deny == AccessDeny::kQuota
                           ? RejectReason::kQuotaExceeded
                           : RejectReason::kAccessDenied);
@@ -1152,6 +1161,7 @@ void Platform::on_arrival(std::shared_ptr<SessionState> s) {
     arm_elastic_tick();
   }
   live_sessions_.push_back(s);
+  ++live_by_tenant_[s->tenant];
   attempt_connect(s);
 }
 
@@ -1264,6 +1274,7 @@ void Platform::on_connected(std::shared_ptr<SessionState> s) {
       return;  // dispatched by maybe_start_queued() when a slot frees
     }
     s->admitted = true;
+    ++admitted_sessions_;
   }
 
   dispatch(s, platform_cost);
@@ -1285,6 +1296,7 @@ void Platform::maybe_start_queued() {
     queued_sessions_.erase(it);
     s->queued = false;
     s->admitted = true;
+    ++admitted_sessions_;
     s->queue_wait = popped->waited;
     s->drr_deficit = popped->deficit_after;
     SessionScope scope(*this, *s);
@@ -1343,6 +1355,7 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
         claimed->pool = false;
         claimed->binding_key = key;
         server_->env_db().rebind(claimed->id, key);
+        sync_env(*claimed);
         target = claimed;
         claimed_pool = true;
       } else {
@@ -1367,11 +1380,13 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
       }
     }
     s->env = target;
+    ++target->bound;
     ++target->inflight;  // pins the env against idle reclamation
     if (target->ready && target->inflight == 1) {
       lifecycle_.transition(target->id, elastic::CacState::kLeased,
                             server_->simulator().now());
     }
+    sync_env(*target);
     if (target->ready) {
       on_env_ready(s);
     } else {
@@ -1641,6 +1656,7 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
   server_->monitor().record_cpu(start, done, 1.0);
   server_->monitor().job_started(s->klass);
   s->computing = true;
+  ++computing_sessions_;
   if (faults_) {
     // Container crash / OOM-kill: the environment dies halfway through
     // this job. One consult per job and per kind keeps both substreams
@@ -1669,8 +1685,7 @@ void Platform::on_uploaded(std::shared_ptr<SessionState> s) {
 void Platform::on_computed(std::shared_ptr<SessionState> s) {
   sim::Simulator& simulator = server_->simulator();
   SessionScope scope(*this, *s);
-  server_->monitor().job_finished(s->klass);
-  s->computing = false;
+  release_job(*s);
   Env& env = *s->env;
   // Computation phase spans upload-end → compute-end (queueing included).
   s->phases.computation = simulator.now() -
@@ -1870,13 +1885,13 @@ void Platform::crash_env(Env& env) {
   server_->monitor().env_down(env.id);
   lifecycle_.transition(env.id, elastic::CacState::kReclaimed,
                         server_->simulator().now());
-  server_->env_db().retire(env.id);
-  server_->warehouse().forget_env(env.id);
+  retire_record(env);
   if (env.is_vm) {
     server_->hypervisor().destroy(env.vm_id);
   } else if (env.cac) {
     env.cac->crash(server_->kernel());
   }
+  sync_env(env);
   // Sessions bound to the dead environment: neutralize every scheduled
   // continuation (epoch bump) and give back what they held — Monitor job
   // slots and staged one-shot files die with the container. The sessions
@@ -1889,10 +1904,7 @@ void Platform::crash_env(Env& env) {
       trace_.instant(s->request.sequence + 1, "env_crash", "fault",
                      server_->simulator().now());
     }
-    if (s->computing) {
-      server_->monitor().job_finished(s->klass);
-      s->computing = false;
-    }
+    if (s->computing) release_job(*s);
     if (s->staged) {
       server_->shared_layer().release_request_files(s->request.sequence);
       s->staged = false;
@@ -1915,7 +1927,9 @@ void Platform::recover_env(std::uint32_t env_id) {
   }
   for (const auto& s : victims) {
     if (dead.inflight > 0) --dead.inflight;
+    --dead.bound;
     s->env = nullptr;
+    sync_env(dead);
     ++s->epoch;
     if (s->dispatch_attempts >= config_.max_redispatch) {
       reject_session(s, RejectReason::kRedispatchExhausted);
@@ -2006,16 +2020,15 @@ void Platform::reject_session(std::shared_ptr<SessionState> s,
 }
 
 void Platform::unbind_session(SessionState& s) {
-  if (s.computing) {
-    server_->monitor().job_finished(s.klass);
-    s.computing = false;
-  }
+  if (s.computing) release_job(s);
   if (s.staged) {
     server_->shared_layer().release_request_files(s.request.sequence);
     s.staged = false;
   }
   if (s.env != nullptr) {
     if (s.env->inflight > 0) --s.env->inflight;
+    --s.env->bound;
+    sync_env(*s.env);
     if (!s.env->retired && s.env->ready && s.env->inflight == 0) {
       if (s.env->draining) {
         // Last in-flight session left a draining environment: reclaim.
@@ -2030,8 +2043,20 @@ void Platform::unbind_session(SessionState& s) {
   }
 }
 
+void Platform::release_job(SessionState& s) {
+  server_->monitor().job_finished(s.klass);
+  s.computing = false;
+  --computing_sessions_;
+}
+
+void Platform::release_slot(SessionState& s) {
+  admission_->release();
+  s.admitted = false;
+  --admitted_sessions_;
+}
+
 void Platform::finish_session(SessionState& s) {
-  s.done = true;
+  mark_done(s);
   ++completed_;
   if (s.rac_slot) {
     server_->access().release(s.tenant);
@@ -2052,21 +2077,115 @@ void Platform::finish_session(SessionState& s) {
       queued_sessions_.erase(s.request.sequence);
       s.queued = false;
     }
-    if (s.admitted) {
-      admission_->release();
-      s.admitted = false;
-    }
+    if (s.admitted) release_slot(s);
     maybe_start_queued();
   }
 }
 
+void Platform::mark_done(SessionState& s) {
+  s.done = true;
+  --live_by_tenant_[s.tenant];
+  if (s.env != nullptr) {
+    // Stranded at drain: still pinning its environment, no longer bound.
+    --s.env->bound;
+    sync_env(*s.env);
+  }
+}
+
+void Platform::sync_env(Env& env) {
+  const bool mismatch = env.bound != env.inflight;
+  if (mismatch != env.pin_mismatch) {
+    env.pin_mismatch = mismatch;
+    if (mismatch) {
+      ++pin_mismatched_envs_;
+    } else {
+      --pin_mismatched_envs_;
+    }
+  }
+  if (env.retired && !env.failed && env.bound > 0) {
+    dead_bound_envs_.insert(env.id);
+  } else if (!dead_bound_envs_.empty()) {
+    dead_bound_envs_.erase(env.id);
+  }
+  const std::uint64_t commit =
+      env.pool && !env.retired && !env.draining ? env.memory_bytes : 0;
+  pool_committed_bytes_ = pool_committed_bytes_ - env.pool_commit + commit;
+  env.pool_commit = commit;
+  if (!env.watched && invariants_.invariant_count() > 0) {
+    env.watched = true;
+    watched_envs_.push_back(&env);
+  }
+}
+
+void Platform::after_event() {
+  invariants_.run(server_->simulator().now());
+  // An environment that still violates #7 or #12 stays watched, so the
+  // check keeps reporting it on every event, as the scan would.
+  std::erase_if(watched_envs_, [this](Env* env) {
+    if (db_mismatch(*env) || lifecycle_mismatch(*env)) return false;
+    env->watched = false;
+    return true;
+  });
+}
+
+std::optional<std::string> Platform::db_mismatch(const Env& env) const {
+  const EnvRecord* record = server_->env_db().find(env.id);
+  if (record == nullptr) {
+    return "env " + std::to_string(env.id) + " missing from DB";
+  }
+  const bool record_retired = record->state == EnvState::kRetired;
+  if (record_retired != env.retired) {
+    return "env " + std::to_string(env.id) + " retired=" +
+           (env.retired ? "1" : "0") + " but DB says " +
+           to_string(record->state);
+  }
+  if (!env.retired && env.ready && !env.is_vm &&
+      (env.cac == nullptr || !env.cac->booted())) {
+    return "env " + std::to_string(env.id) +
+           " serving without a booted container";
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> Platform::lifecycle_mismatch(
+    const Env& env) const {
+  elastic::CacState expected;
+  if (env.retired) {
+    expected = elastic::CacState::kReclaimed;
+  } else if (env.draining) {
+    expected = elastic::CacState::kDraining;
+  } else if (!env.ready) {
+    expected = elastic::CacState::kBooting;
+  } else if (env.inflight > 0) {
+    expected = elastic::CacState::kLeased;
+  } else {
+    expected = elastic::CacState::kWarmIdle;
+  }
+  if (lifecycle_.state(env.id) == expected) return std::nullopt;
+  return "env " + std::to_string(env.id) + " is " +
+         elastic::to_string(lifecycle_.state(env.id)) +
+         ", engine state implies " + elastic::to_string(expected);
+}
+
+// Each invariant registers a per-event check over the ledgers above and,
+// where the check does not read the components directly, the full scan
+// the audit holds it to (docs/FAULTS.md).
 void Platform::register_invariants() {
   // 1. No session is bound to a dead environment — except during the
   //    Monitor's detection window (crash reported, sweep not yet run)
   //    and for provision-failure envs, whose rejection is a scheduled
   //    zero-delay event.
   invariants_.add_invariant(
-      "session-env-liveness", [this]() -> std::optional<std::string> {
+      "session-env-liveness",
+      [this]() -> std::optional<std::string> {
+        for (const std::uint32_t id : dead_bound_envs_) {
+          if (server_->monitor().crash_pending(id)) continue;
+          return "dead env " + std::to_string(id) +
+                 " still has bound sessions";
+        }
+        return std::nullopt;
+      },
+      [this]() -> std::optional<std::string> {
         for (const auto& s : live_sessions_) {
           if (s->done || s->env == nullptr) continue;
           const Env& env = *s->env;
@@ -2079,7 +2198,13 @@ void Platform::register_invariants() {
       });
   // 2. The AID→CID affinity map only references live containers.
   invariants_.add_invariant(
-      "affinity-live", [this]() -> std::optional<std::string> {
+      "affinity-live",
+      [this]() -> std::optional<std::string> {
+        const std::size_t stale = server_->warehouse().retired_references();
+        if (stale == 0) return std::nullopt;
+        return std::to_string(stale) + " mappings reference retired envs";
+      },
+      [this]() -> std::optional<std::string> {
         std::optional<std::string> violation;
         server_->warehouse().for_each_entry([&](const CacheEntry& entry) {
           if (violation.has_value()) return;
@@ -2119,58 +2244,63 @@ void Platform::register_invariants() {
                " staged requests";
       });
   // 5. Monitor job slots match the sessions actually computing.
+  const auto monitor_jobs =
+      [this](std::uint32_t computing) -> std::optional<std::string> {
+    if (computing == server_->monitor().running_jobs()) {
+      return std::nullopt;
+    }
+    return "monitor reports " +
+           std::to_string(server_->monitor().running_jobs()) + " jobs, " +
+           std::to_string(computing) + " sessions computing";
+  };
   invariants_.add_invariant(
-      "monitor-jobs", [this]() -> std::optional<std::string> {
+      "monitor-jobs",
+      [this, monitor_jobs]() { return monitor_jobs(computing_sessions_); },
+      [this, monitor_jobs]() {
         std::uint32_t computing = 0;
         for (const auto& s : live_sessions_) {
           if (!s->done && s->computing) ++computing;
         }
-        if (computing == server_->monitor().running_jobs()) {
-          return std::nullopt;
-        }
-        return "monitor reports " +
-               std::to_string(server_->monitor().running_jobs()) +
-               " jobs, " + std::to_string(computing) +
-               " sessions computing";
+        return monitor_jobs(computing);
       });
   // 6. Every environment's inflight pin count equals its bound sessions.
   invariants_.add_invariant(
-      "inflight-consistency", [this]() -> std::optional<std::string> {
+      "inflight-consistency",
+      [this]() -> std::optional<std::string> {
+        if (pin_mismatched_envs_ == 0) return std::nullopt;
+        return std::to_string(pin_mismatched_envs_) +
+               " envs pin a count other than their bound sessions";
+      },
+      [this]() -> std::optional<std::string> {
+        std::vector<std::uint32_t> bound(next_env_id_, 0);  // by env id
+        for (const auto& s : live_sessions_) {
+          if (!s->done && s->env != nullptr) ++bound[s->env->id];
+        }
         for (const auto& [id, env] : envs_) {
-          std::uint32_t bound = 0;
-          for (const auto& s : live_sessions_) {
-            if (!s->done && s->env == env.get()) ++bound;
-          }
-          if (bound != env->inflight) {
+          if (bound[id] != env->inflight) {
             return "env " + std::to_string(id) + " pins " +
                    std::to_string(env->inflight) + " sessions, " +
-                   std::to_string(bound) + " bound";
+                   std::to_string(bound[id]) + " bound";
           }
         }
         return std::nullopt;
       });
   // 7. The Container DB mirrors engine state: records retire exactly
   //    when their environment does, and a live, ready container-backed
-  //    environment has a booted CAC underneath.
+  //    environment has a booted CAC underneath.  Per event only the
+  //    environments that changed are re-checked.
   invariants_.add_invariant(
-      "db-consistency", [this]() -> std::optional<std::string> {
+      "db-consistency",
+      [this]() -> std::optional<std::string> {
+        for (const Env* env : watched_envs_) {
+          if (auto detail = db_mismatch(*env)) return detail;
+        }
+        return std::nullopt;
+      },
+      [this]() -> std::optional<std::string> {
         for (const auto& [id, env] : envs_) {
-          const EnvRecord* record = server_->env_db().find(id);
-          if (record == nullptr) {
-            return "env " + std::to_string(id) + " missing from DB";
-          }
-          const bool record_retired =
-              record->state == EnvState::kRetired;
-          if (record_retired != env->retired) {
-            return "env " + std::to_string(id) + " retired=" +
-                   (env->retired ? "1" : "0") + " but DB says " +
-                   to_string(record->state);
-          }
-          if (!env->retired && env->ready && !env->is_vm &&
-              (env->cac == nullptr || !env->cac->booted())) {
-            return "env " + std::to_string(id) +
-                   " serving without a booted container";
-          }
+          (void)id;
+          if (auto detail = db_mismatch(*env)) return detail;
         }
         return std::nullopt;
       });
@@ -2178,46 +2308,49 @@ void Platform::register_invariants() {
   //     environment the engine ever provisioned, no illegal transition
   //     was ever attempted, and the ledger state matches what the
   //     engine's flags imply for each environment (docs/ELASTIC.md).
+  const auto lifecycle_totals = [this]() -> std::optional<std::string> {
+    if (const std::string& err = lifecycle_.first_error(); !err.empty()) {
+      return "lifecycle error: " + err;
+    }
+    if (lifecycle_.tracked_count() != envs_.size()) {
+      return "lifecycle tracks " +
+             std::to_string(lifecycle_.tracked_count()) +
+             " envs, engine has " + std::to_string(envs_.size());
+    }
+    return std::nullopt;
+  };
   invariants_.add_invariant(
-      "lifecycle-state", [this]() -> std::optional<std::string> {
-        if (const std::string& err = lifecycle_.first_error();
-            !err.empty()) {
-          return "lifecycle error: " + err;
+      "lifecycle-state",
+      [this, lifecycle_totals]() -> std::optional<std::string> {
+        if (auto detail = lifecycle_totals()) return detail;
+        for (const Env* env : watched_envs_) {
+          if (auto detail = lifecycle_mismatch(*env)) return detail;
         }
-        if (lifecycle_.tracked_count() != envs_.size()) {
-          return "lifecycle tracks " +
-                 std::to_string(lifecycle_.tracked_count()) +
-                 " envs, engine has " + std::to_string(envs_.size());
-        }
+        return std::nullopt;
+      },
+      [this, lifecycle_totals]() -> std::optional<std::string> {
+        if (auto detail = lifecycle_totals()) return detail;
         for (const auto& [id, env] : envs_) {
-          elastic::CacState expected;
-          if (env->retired) {
-            expected = elastic::CacState::kReclaimed;
-          } else if (env->draining) {
-            expected = elastic::CacState::kDraining;
-          } else if (!env->ready) {
-            expected = elastic::CacState::kBooting;
-          } else if (env->inflight > 0) {
-            expected = elastic::CacState::kLeased;
-          } else {
-            expected = elastic::CacState::kWarmIdle;
-          }
-          if (lifecycle_.state(id) != expected) {
-            return "env " + std::to_string(id) + " is " +
-                   elastic::to_string(lifecycle_.state(id)) +
-                   ", engine state implies " + elastic::to_string(expected);
-          }
+          (void)id;
+          if (auto detail = lifecycle_mismatch(*env)) return detail;
         }
         return std::nullopt;
       });
   // 13. The elastic memory budget is a hard ceiling on the warm pool:
   //     committed pool memory (booting + warm) never exceeds it.
+  const auto within_budget =
+      [this](std::uint64_t committed) -> std::optional<std::string> {
+    if (pool_controller_ == nullptr) return std::nullopt;
+    const std::uint64_t budget =
+        pool_controller_->config().memory_budget_bytes;
+    if (budget == 0 || committed <= budget) return std::nullopt;
+    return "warm pool commits " + std::to_string(committed) +
+           " bytes, budget is " + std::to_string(budget);
+  };
   invariants_.add_invariant(
-      "elastic-memory-budget", [this]() -> std::optional<std::string> {
-        if (pool_controller_ == nullptr) return std::nullopt;
-        const std::uint64_t budget =
-            pool_controller_->config().memory_budget_bytes;
-        if (budget == 0) return std::nullopt;
+      "elastic-memory-budget",
+      [this, within_budget]() { return within_budget(pool_committed_bytes_); },
+      [this, within_budget]() {
         std::uint64_t committed = 0;
         for (const auto& [id, env] : envs_) {
           (void)id;
@@ -2225,15 +2358,26 @@ void Platform::register_invariants() {
             committed += env->memory_bytes;
           }
         }
-        if (committed <= budget) return std::nullopt;
-        return "warm pool commits " + std::to_string(committed) +
-               " bytes, budget is " + std::to_string(budget);
+        return within_budget(committed);
       });
   // 14. A blocked tenant consumes zero container time after block onset:
   //     the on_block sweep leaves no live session of a tenant inside its
   //     block window (docs/RAC.md).
   invariants_.add_invariant(
-      "rac-blocked-isolation", [this]() -> std::optional<std::string> {
+      "rac-blocked-isolation",
+      [this]() -> std::optional<std::string> {
+        const auto& access = server_->access();
+        if (access.blocked_count() == 0) return std::nullopt;
+        const sim::SimTime now = server_->simulator().now();
+        for (const auto& [tenant, live] : live_by_tenant_) {
+          if (live > 0 && access.blocked_at(tenant, now)) {
+            return "blocked tenant " + tenant + " has " +
+                   std::to_string(live) + " live sessions";
+          }
+        }
+        return std::nullopt;
+      },
+      [this]() -> std::optional<std::string> {
         const sim::SimTime now = server_->simulator().now();
         for (const auto& s : live_sessions_) {
           if (s->done) continue;
@@ -2247,49 +2391,59 @@ void Platform::register_invariants() {
   if (admission_ == nullptr) return;
   // 8. The class queues never exceed their capacity, and the scheduler's
   //    depth matches the sessions the platform is tracking as queued.
+  const auto queue_bound =
+      [this](std::size_t queued) -> std::optional<std::string> {
+    if (queued != admission_->queue_depth()) {
+      return "scheduler holds " + std::to_string(admission_->queue_depth()) +
+             " queued, platform tracks " + std::to_string(queued);
+    }
+    const qos::QosScheduler& scheduler = admission_->scheduler();
+    for (const qos::PriorityClass klass : qos::kAllClasses) {
+      if (scheduler.depth(klass) > scheduler.capacity(klass)) {
+        return std::string(qos::to_string(klass)) + " lane holds " +
+               std::to_string(scheduler.depth(klass)) +
+               " sessions, capacity " +
+               std::to_string(scheduler.capacity(klass));
+      }
+    }
+    return std::nullopt;
+  };
   invariants_.add_invariant(
-      "admission-queue-bound", [this]() -> std::optional<std::string> {
+      "admission-queue-bound",
+      [this, queue_bound]() { return queue_bound(queued_sessions_.size()); },
+      [this, queue_bound]() {
         std::uint32_t queued = 0;
         for (const auto& [sequence, s] : queued_sessions_) {
           (void)sequence;
           if (!s->done && s->queued) ++queued;
         }
-        if (queued != admission_->queue_depth()) {
-          return "scheduler holds " +
-                 std::to_string(admission_->queue_depth()) +
-                 " queued, platform tracks " + std::to_string(queued);
-        }
-        const qos::QosScheduler& scheduler = admission_->scheduler();
-        for (const qos::PriorityClass klass : qos::kAllClasses) {
-          if (scheduler.depth(klass) > scheduler.capacity(klass)) {
-            return std::string(qos::to_string(klass)) + " lane holds " +
-                   std::to_string(scheduler.depth(klass)) +
-                   " sessions, capacity " +
-                   std::to_string(scheduler.capacity(klass));
-          }
-        }
-        return std::nullopt;
+        return queue_bound(queued);
       });
   // 9. In-service accounting: the controller's slots equal the admitted
   //    live sessions, and never exceed the configured ceiling.
+  const auto in_service =
+      [this](std::uint32_t admitted) -> std::optional<std::string> {
+    if (admitted != admission_->in_service()) {
+      return "controller ledger says " +
+             std::to_string(admission_->in_service()) + " in service, " +
+             std::to_string(admitted) + " sessions hold slots";
+    }
+    if (admitted > admission_->max_in_service()) {
+      return std::to_string(admitted) +
+             " in-service sessions exceed the limit of " +
+             std::to_string(admission_->max_in_service());
+    }
+    return std::nullopt;
+  };
   invariants_.add_invariant(
-      "admission-in-service", [this]() -> std::optional<std::string> {
+      "admission-in-service",
+      [this, in_service]() { return in_service(admitted_sessions_); },
+      [this, in_service]() {
         std::uint32_t admitted = 0;
         for (const auto& s : live_sessions_) {
           if (!s->done && s->admitted) ++admitted;
         }
-        if (admitted != admission_->in_service()) {
-          return "controller ledger says " +
-                 std::to_string(admission_->in_service()) +
-                 " in service, " + std::to_string(admitted) +
-                 " sessions hold slots";
-        }
-        if (admitted > admission_->max_in_service()) {
-          return std::to_string(admitted) +
-                 " in-service sessions exceed the limit of " +
-                 std::to_string(admission_->max_in_service());
-        }
-        return std::nullopt;
+        return in_service(admitted);
       });
   // 10. DRR bookkeeping conserves quanta: per tenant per lane,
   //     granted == served + live deficit + forfeited (docs/QOS.md).

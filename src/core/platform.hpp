@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -123,7 +124,8 @@ struct PlatformConfig {
   sim::FaultPlan fault_plan;
 
   /// Evaluate the cross-component invariants after every simulator event
-  /// (active only while a fault plan is installed).
+  /// (active only while a fault plan is installed, or with
+  /// force_invariants).
   bool check_invariants = true;
 
   /// Crash recovery: the Monitor's health sweep detects a dead
@@ -175,9 +177,10 @@ struct PlatformConfig {
   std::int32_t shard_index = -1;
 
   /// Run the invariant harness even without a fault plan (the load-gen
-  /// property battery).  Expensive: the checks are O(live sessions ×
-  /// environments) after every event, so keep this off at 10^4+ session
-  /// scale.
+  /// property battery).  The per-event checks read ledgers, so their cost
+  /// does not grow with live sessions or environment history; the full
+  /// scans run only as a periodic audit (docs/FAULTS.md).  Safe to leave
+  /// on at any session scale.
   bool force_invariants = false;
 };
 
@@ -366,7 +369,9 @@ class Platform {
   }
 
   /// The cross-component invariant harness (populated when a fault plan
-  /// is installed; checks run after every simulator event).
+  /// is installed or force_invariants is set; the ledger checks run after
+  /// every simulator event, the full-scan audit every
+  /// InvariantChecker::kAuditEvery events and when a run drains).
   [[nodiscard]] const InvariantChecker& invariants() const {
     return invariants_;
   }
@@ -505,7 +510,25 @@ class Platform {
   void reject_session(std::shared_ptr<SessionState> s, RejectReason reason);
   void finish_session(SessionState& s);
   void unbind_session(SessionState& s);
+  /// Gives back the session's Monitor job slot / admission in-service
+  /// slot, keeping the matching invariant ledger in step.
+  void release_job(SessionState& s);
+  void release_slot(SessionState& s);
+
+  // Invariant harness (docs/FAULTS.md).
   void register_invariants();
+  void after_event();
+  /// Re-derives `env`'s contributions to the ledgers after a mutation.
+  void sync_env(Env& env);
+  /// Retires `env`'s Container DB record and its warehouse mappings.
+  void retire_record(const Env& env);
+  /// Invariant #7 / #12 for one environment: the violation detail, or
+  /// nullopt.
+  [[nodiscard]] std::optional<std::string> db_mismatch(const Env& env) const;
+  [[nodiscard]] std::optional<std::string> lifecycle_mismatch(
+      const Env& env) const;
+  /// Takes a session out of the live ledgers as it is marked done.
+  void mark_done(SessionState& s);
 
   // Admission control.
   void maybe_start_queued();
@@ -544,6 +567,19 @@ class Platform {
   std::function<void(const RequestOutcome&)> completion_observer_;
   InvariantChecker invariants_;
   std::vector<std::shared_ptr<SessionState>> live_sessions_;
+  // Invariant ledgers, updated at the transitions that move them so each
+  // per-event check is O(1) (docs/FAULTS.md); register_invariants() keeps
+  // the full scans they are audited against.
+  std::uint32_t computing_sessions_ = 0;  ///< #5: sessions holding a job slot
+  std::uint32_t admitted_sessions_ = 0;   ///< #9: sessions holding a slot
+  std::uint32_t pin_mismatched_envs_ = 0;  ///< #6: envs with bound ≠ inflight
+  /// #1: retired, non-failed environments that still have bound sessions.
+  std::set<std::uint32_t> dead_bound_envs_;
+  std::uint64_t pool_committed_bytes_ = 0;  ///< #13: booting + warm pool
+  /// #7, #12: environments changed in this event or still violating.
+  std::vector<Env*> watched_envs_;
+  /// #14: live sessions per tenant.
+  std::map<std::string, std::uint32_t, std::less<>> live_by_tenant_;
   sim::Rng rng_;
   std::map<std::uint32_t, std::unique_ptr<Env>> envs_;
   std::map<std::uint32_t, net::TrafficAccount> env_traffic_;

@@ -25,6 +25,9 @@ CacheEntry* AppWarehouse::lookup_slot(std::string_view reference) {
 void AppWarehouse::erase_entry(std::uint32_t slot) {
   Slot& s = slots_[slot];
   assert(s.live);
+  for (const EnvId env : s.entry.containers) {
+    if (forgotten_.contains(env)) --retired_references_;
+  }
   index_.erase(s.entry.reference);
   s.entry = CacheEntry{};
   s.live = false;
@@ -98,7 +101,9 @@ Aid AppWarehouse::store(std::string_view reference,
 void AppWarehouse::record_execution(std::string_view reference, EnvId env) {
   CacheEntry* entry = lookup_slot(reference);
   if (entry == nullptr) return;
-  entry->containers.insert(env);
+  if (entry->containers.insert(env).second && forgotten_.contains(env)) {
+    ++retired_references_;
+  }
   entry->last_use_seq = ++seq_;
 }
 
@@ -113,8 +118,11 @@ std::optional<EnvId> AppWarehouse::preferred_env(
 }
 
 void AppWarehouse::forget_env(EnvId env) {
+  const bool counted = !forgotten_.insert(env).second;
   for (Slot& slot : slots_) {
-    if (slot.live) slot.entry.containers.erase(env);
+    if (slot.live && slot.entry.containers.erase(env) != 0 && counted) {
+      --retired_references_;
+    }
   }
 }
 

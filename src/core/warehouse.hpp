@@ -66,6 +66,13 @@ class AppWarehouse {
   /// Drops every mapping to `env` (the container was destroyed).
   void forget_env(EnvId env);
 
+  /// Mappings to environments forget_env() already dropped: each one
+  /// routes to a dead container.  The affinity-live invariant's ledger,
+  /// kept exact through record_execution, forget_env and evictions.
+  [[nodiscard]] std::size_t retired_references() const {
+    return retired_references_;
+  }
+
   [[nodiscard]] const CacheEntry* find(std::string_view reference) const;
   [[nodiscard]] std::size_t entry_count() const { return index_.size(); }
   [[nodiscard]] std::uint64_t stored_bytes() const { return stored_; }
@@ -125,6 +132,8 @@ class AppWarehouse {
   std::uint64_t evictions_ = 0;
   sim::FaultInjector* faults_ = nullptr;
   std::uint64_t injected_evictions_ = 0;
+  std::set<EnvId> forgotten_;  ///< every environment forget_env() dropped
+  std::size_t retired_references_ = 0;
   obs::Counter* metric_hits_ = nullptr;
   obs::Counter* metric_misses_ = nullptr;
   obs::Counter* metric_evictions_ = nullptr;

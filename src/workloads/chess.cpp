@@ -709,7 +709,7 @@ void TranspositionTable::clear() {
   stores_ = 0;
 }
 
-SearchResult search(Board& board, int depth) {
+RATTRAP_KERNEL_ENTRY SearchResult search(Board& board, int depth) {
   g_nodes = 0;
   TranspositionTable tt;
   SearchResult result;

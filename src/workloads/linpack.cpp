@@ -6,7 +6,8 @@
 
 namespace rattrap::workloads {
 
-LinpackOutcome run_linpack(std::size_t n, std::uint64_t seed) {
+RATTRAP_KERNEL_ENTRY LinpackOutcome run_linpack(std::size_t n,
+                                                std::uint64_t seed) {
   assert(n > 0);
   sim::Rng rng(seed);
   std::vector<double> a(n * n);

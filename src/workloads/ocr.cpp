@@ -144,7 +144,8 @@ Glyph denoise(const Glyph& glyph) {
   return out;
 }
 
-OcrOutcome recognize(const Page& page, bool with_denoise) {
+RATTRAP_KERNEL_ENTRY OcrOutcome recognize(const Page& page,
+                                          bool with_denoise) {
   OcrOutcome out;
   const std::size_t cells = page.columns * page.rows;
   out.decoded.resize(cells);

@@ -59,8 +59,9 @@ AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
   }
 }
 
-std::uint64_t AhoCorasick::scan(const std::vector<std::uint8_t>& data,
-                                std::uint64_t* transitions) const {
+RATTRAP_KERNEL_ENTRY std::uint64_t AhoCorasick::scan(
+    const std::vector<std::uint8_t>& data,
+    std::uint64_t* transitions) const {
   std::uint64_t matches = 0;
   std::uint64_t steps = 0;
   std::int32_t node = 0;

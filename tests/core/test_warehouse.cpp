@@ -64,6 +64,31 @@ TEST(Warehouse, ForgetEnvRemovesMappings) {
   EXPECT_FALSE(warehouse.preferred_env("ref:app-a").has_value());
 }
 
+TEST(Warehouse, RetiredReferencesCountMappingsToForgottenEnvs) {
+  // The affinity-live invariant's ledger: a mapping re-added for an
+  // environment forget_env() dropped counts until forgotten again or
+  // evicted with its entry.
+  AppWarehouse warehouse(2500);
+  warehouse.store("ref:a", 1000);
+  warehouse.store("ref:b", 1000);
+  warehouse.record_execution("ref:a", 3);
+  warehouse.forget_env(3);
+  EXPECT_EQ(warehouse.retired_references(), 0u);
+  warehouse.record_execution("ref:a", 3);
+  warehouse.record_execution("ref:a", 3);  // already mapped
+  warehouse.record_execution("ref:b", 3);
+  EXPECT_EQ(warehouse.retired_references(), 2u);
+  warehouse.forget_env(3);
+  EXPECT_EQ(warehouse.retired_references(), 0u);
+  warehouse.record_execution("ref:a", 3);
+  warehouse.record_execution("ref:a", 4);  // live env: not counted
+  EXPECT_EQ(warehouse.retired_references(), 1u);
+  warehouse.lookup("ref:b");  // ref:a becomes LRU
+  warehouse.store("ref:c", 1000);  // evicts ref:a and its mappings
+  EXPECT_FALSE(warehouse.hit("ref:a"));
+  EXPECT_EQ(warehouse.retired_references(), 0u);
+}
+
 TEST(Warehouse, RecordExecutionForUnknownReferenceIsIgnored) {
   AppWarehouse warehouse;
   warehouse.record_execution("ref:ghost", 1);

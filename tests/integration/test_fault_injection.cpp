@@ -22,6 +22,7 @@ struct RunSetup {
   std::uint32_t devices = 6;
   std::uint64_t seed = 11;
   bool crash_recovery = true;
+  bool audit_every_event = false;  ///< the checker's oracle mode
 };
 
 struct RunHandle {
@@ -38,6 +39,7 @@ RunHandle run_with_faults(const RunSetup& setup) {
   config.crash_recovery = setup.crash_recovery;
   RunHandle handle;
   handle.platform = std::make_unique<Platform>(std::move(config));
+  handle.platform->invariants().set_audit_every_run(setup.audit_every_event);
   handle.outcomes = handle.platform->run(workloads::make_mixed_stream(
       setup.count / 4, setup.devices, 2 * sim::kSecond, setup.seed));
   return handle;
@@ -128,11 +130,57 @@ TEST(FaultInjectionTest, DisablingRecoveryTripsTheLivenessInvariant) {
   EXPECT_FALSE(invariants.ok());
   ASSERT_NE(invariants.first_violation(), nullptr);
   EXPECT_EQ(invariants.first_violation()->name, "session-env-liveness");
+  // Pinned from the full-scan harness that preceded the ledger checks:
+  // the per-event ledger catches the stranding at the very event the
+  // scan did, and records the scan's detail.
+  EXPECT_EQ(invariants.first_violation()->when, 2545377);
+  EXPECT_EQ(invariants.first_violation()->event_index, 22u);
+  EXPECT_EQ(invariants.first_violation()->detail,
+            "request 1 bound to dead env 2");
   std::size_t stranded = 0;
   for (const auto& outcome : handle.outcomes) {
     if (outcome.stranded) ++stranded;
   }
   EXPECT_GT(stranded, 0u);
+}
+
+TEST(FaultInjectionTest, AuditingEveryEventChangesNoReport) {
+  // The audit is an oracle, not a second opinion: with the full scans
+  // run after every event, each run must record exactly what the default
+  // cadence records — no ledger drift anywhere, and the same violations
+  // at the same instants when recovery is off.
+  const char* const kPlans[] = {
+      "net.drop:p=0.08;net.corrupt:p=0.05;net.delay:p=0.1,delay_ms=400",
+      "tmpfs.write_fail:p=0.15;disk.write_fail:p=0.1;cache.evict:p=0.2",
+      "container.crash:p=0.06;container.oom:p=0.04;binder.fail:p=0.05;"
+      "devns.teardown:p=0.1",
+      "container.crash:p=0.3;cache.evict:p=0.3",
+  };
+  std::size_t violating_runs = 0;
+  for (const bool recovery : {true, false}) {
+    for (const char* plan : kPlans) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(std::string(plan) + " seed " + std::to_string(seed) +
+                     (recovery ? " recovery on" : " recovery off"));
+        RunSetup setup{plan, /*count=*/40, /*devices=*/4, seed, recovery};
+        const RunHandle base = run_with_faults(setup);
+        setup.audit_every_event = true;
+        const RunHandle audited = run_with_faults(setup);
+        const InvariantChecker& expected = base.platform->invariants();
+        const InvariantChecker& actual = audited.platform->invariants();
+        EXPECT_EQ(actual.report(), expected.report());
+        EXPECT_EQ(actual.total_violations(), expected.total_violations());
+        EXPECT_EQ(actual.checks_run(), expected.checks_run());
+        // One audit per event, plus the one that closes the drain.
+        EXPECT_EQ(actual.audits_run(), actual.checks_run() + 1);
+        if (recovery) {
+          EXPECT_TRUE(expected.ok()) << expected.report();
+        }
+        if (!expected.ok()) ++violating_runs;
+      }
+    }
+  }
+  EXPECT_GT(violating_runs, 0u) << "no run exercised a violating report";
 }
 
 TEST(FaultInjectionTest, ScheduledCrashFiresExactlyOnce) {

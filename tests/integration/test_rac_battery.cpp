@@ -348,5 +348,44 @@ TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
   EXPECT_TRUE(platform.invariants().ok()) << platform.invariants().report();
 }
 
+TEST(RacBattery, AuditingEveryEventChangesNoReport) {
+  // Differential check of the two-tier harness on attack runs: with the
+  // full scans audited after every event, each seed must record exactly
+  // what the default cadence records.  Zero ledger drift means the
+  // per-event ledgers (blocked-tenant sessions, in-service and queued
+  // counts, environment pins) agree with the scans at every event.
+  constexpr std::uint64_t kSeeds = 40;
+  std::mutex failures_mutex;
+  std::vector<std::string> failures;
+  sim::parallel_for(kSeeds, [&](std::size_t index) {
+    const std::uint64_t seed = static_cast<std::uint64_t>(index) + 1;
+    const BatteryCase c = make_case(seed);
+    Platform base(c.platform);
+    (void)run_load(base, c.driver);
+    Platform audited(c.platform);
+    audited.invariants().set_audit_every_run(true);
+    (void)run_load(audited, c.driver);
+    const InvariantChecker& expected = base.invariants();
+    const InvariantChecker& actual = audited.invariants();
+    std::string why;
+    if (actual.report() != expected.report() ||
+        actual.total_violations() != expected.total_violations()) {
+      why = "reports differ:\n" + expected.report() + "vs audited\n" +
+            actual.report();
+    } else if (actual.checks_run() != expected.checks_run()) {
+      why = "event counts differ";
+    } else if (actual.audits_run() <= actual.checks_run()) {
+      why = "the oracle mode skipped audits";
+    } else if (!expected.ok()) {
+      why = "violation: " + expected.report();
+    }
+    if (!why.empty()) {
+      const std::lock_guard<std::mutex> lock(failures_mutex);
+      failures.push_back("seed " + std::to_string(seed) + ": " + why);
+    }
+  });
+  for (const std::string& failure : failures) ADD_FAILURE() << failure;
+}
+
 }  // namespace
 }  // namespace rattrap::core

@@ -160,6 +160,37 @@ TEST(ExperimentsCli, TrippedCriterionFailsTheSweep) {
   EXPECT_TRUE(result.contains("FAIL")) << result.output;
 }
 
+TEST(ExperimentsCli, DisarmedRacFailsTheAdversaryGate) {
+  // The RAC teeth check CI runs: with the defense disarmed no tenant is
+  // ever blocked, so the adversary gate must fail — on the block count,
+  // while the invariant harness (armed at every size) stays silent.
+  const std::string path = write_manifest(
+      "rac-teeth.ini",
+      "[rac-teeth]\n"
+      "quick = true\n"
+      "arrival = poisson\n"
+      "rate = 40\n"
+      "devices = 100\n"
+      "requests = 500\n"
+      "admission = on\n"
+      "qos = on\n"
+      "mix = victim:interactive:2:0.3;prober:standard:1:0.2:probe;"
+      "flooder:interactive:1:0.3:flood;thrasher:batch:1:0.2:thrash\n"
+      "rac = off\n"
+      "tenant_queue_quota = 0\n"
+      "seed = 1|2\n"
+      "expect.max.invariant_violations = 0\n"
+      "expect.min.rac.blocks = 1\n");
+  const std::string out = ::testing::TempDir() + "rac-teeth-out";
+  const CommandResult result = run_command(
+      kBin + " --manifest " + path + " --quick --jobs 1 --out " + out);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  const std::string summary = read_file(out + "/summary.md");
+  EXPECT_NE(summary.find("min.rac.blocks"), std::string::npos) << summary;
+  EXPECT_EQ(summary.find("invariant_violations"), std::string::npos)
+      << summary;
+}
+
 TEST(ExperimentsCli, UnknownCriterionMetricFails) {
   const std::string path = write_manifest(
       "badcrit.ini",
