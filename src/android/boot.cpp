@@ -1,5 +1,7 @@
 #include "android/boot.hpp"
 
+#include <array>
+
 #include "android/image_profile.hpp"
 #include "android/init_rc.hpp"
 
@@ -39,6 +41,24 @@ std::uint64_t baseline_memory() {
 }  // namespace
 
 UserspaceBoot device_userspace_boot(OsProfile profile) {
+  static const std::array<UserspaceBoot, 2> table = {
+      compute_device_userspace_boot(OsProfile::kStock),
+      compute_device_userspace_boot(OsProfile::kCustomized)};
+  return table[profile == OsProfile::kStock ? 0 : 1];
+}
+
+UserspaceBoot container_userspace_boot(OsProfile profile,
+                                       bool warm_shared_layer) {
+  static const std::array<UserspaceBoot, 4> table = {
+      compute_container_userspace_boot(OsProfile::kStock, false),
+      compute_container_userspace_boot(OsProfile::kStock, true),
+      compute_container_userspace_boot(OsProfile::kCustomized, false),
+      compute_container_userspace_boot(OsProfile::kCustomized, true)};
+  return table[(profile == OsProfile::kStock ? 0 : 2) +
+               (warm_shared_layer ? 1 : 0)];
+}
+
+UserspaceBoot compute_device_userspace_boot(OsProfile profile) {
   const bool stock = profile == OsProfile::kStock;
   const auto& services =
       stock ? stock_services() : customized_services();
@@ -59,8 +79,8 @@ UserspaceBoot device_userspace_boot(OsProfile profile) {
   return boot;
 }
 
-UserspaceBoot container_userspace_boot(OsProfile profile,
-                                       bool warm_shared_layer) {
+UserspaceBoot compute_container_userspace_boot(OsProfile profile,
+                                               bool warm_shared_layer) {
   const bool stock = profile == OsProfile::kStock;
   const auto& services =
       stock ? stock_services() : customized_services();

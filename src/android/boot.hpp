@@ -40,15 +40,23 @@ struct UserspaceBoot {
 };
 
 /// Userspace boot for a device-style boot (VM): includes hardware probing
-/// and reads the image cold from the virtual disk.
+/// and reads the image cold from the virtual disk.  Memoized: computed
+/// once per profile.
 [[nodiscard]] UserspaceBoot device_userspace_boot(OsProfile profile);
 
 /// Userspace boot inside a container: modified init, no bootloader/kernel
 /// stages, no hardware probing; `warm_shared_layer` marks the shared
 /// resource layer already page-cached by an earlier container, removing
-/// most image reads (an optimized-Rattrap effect).
+/// most image reads (an optimized-Rattrap effect).  Memoized: computed
+/// once per argument pair.
 [[nodiscard]] UserspaceBoot container_userspace_boot(OsProfile profile,
                                                      bool warm_shared_layer);
+
+/// The computations behind the two memoized functions above, rebuilding
+/// the init script and service graph on every call.
+[[nodiscard]] UserspaceBoot compute_device_userspace_boot(OsProfile profile);
+[[nodiscard]] UserspaceBoot compute_container_userspace_boot(
+    OsProfile profile, bool warm_shared_layer);
 
 /// Full VM boot plan: firmware POST, bootloader, kernel+ramdisk, fs
 /// preparation, then the userspace stages.  Feed to vm::VirtualMachine.

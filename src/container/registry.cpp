@@ -31,6 +31,15 @@ void LayerStore::add(Digest digest, std::shared_ptr<const fs::Layer> layer) {
   layers_.emplace(digest, std::move(layer));
 }
 
+Digest LayerStore::add(std::shared_ptr<const fs::Layer> layer) {
+  auto it = digests_.find(layer);
+  if (it == digests_.end()) {
+    it = digests_.emplace(layer, layer_digest(*layer)).first;
+  }
+  add(it->second, std::move(layer));
+  return it->second;
+}
+
 std::shared_ptr<const fs::Layer> LayerStore::get(Digest digest) const {
   const auto it = layers_.find(digest);
   return it == layers_.end() ? nullptr : it->second;

@@ -45,6 +45,11 @@ class LayerStore {
   /// Adds a layer (no-op when the digest is already present).
   void add(Digest digest, std::shared_ptr<const fs::Layer> layer);
 
+  /// Adds an immutable layer by content and returns its digest. The
+  /// digest is computed once per layer object: the memo is keyed on the
+  /// object and holds it, so its address is never reused.
+  Digest add(std::shared_ptr<const fs::Layer> layer);
+
   [[nodiscard]] std::shared_ptr<const fs::Layer> get(Digest digest) const;
 
   [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
@@ -54,6 +59,7 @@ class LayerStore {
 
  private:
   std::map<Digest, std::shared_ptr<const fs::Layer>> layers_;
+  std::map<std::shared_ptr<const fs::Layer>, Digest> digests_;
 };
 
 /// Outcome of pulling an image into a local store.

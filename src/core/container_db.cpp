@@ -58,7 +58,11 @@ EnvRecord& ContainerDb::add(EnvId id, EnvBacking backing,
     // Re-registration of an existing id replaces the record in place
     // (insert_or_assign semantics of the original ordered map).
     stored = &records_[*slot];
-    unindex_key(stored->bound_key, id);
+    if (stored->state == EnvState::kRetired) {
+      --retired_count_;
+    } else {
+      unindex_key(stored->bound_key, id);
+    }
     *stored = std::move(record);
   } else {
     const auto fresh = static_cast<std::uint32_t>(records_.size());
@@ -87,22 +91,17 @@ const EnvRecord* ContainerDb::find(EnvId id) const {
 EnvRecord* ContainerDb::find_by_key(std::string_view key) {
   const std::vector<EnvId>* ids = by_key_.find(key);
   if (ids == nullptr) return nullptr;
-  for (const EnvId id : *ids) {  // ascending: lowest live id wins
-    EnvRecord* record = find(id);
-    if (record != nullptr && record->state != EnvState::kRetired) {
-      return record;
-    }
-  }
-  return nullptr;
+  return ids->empty() ? nullptr : find(ids->front());  // lowest live id
 }
 
 bool ContainerDb::rebind(EnvId id, std::string key) {
   EnvRecord* record = find(id);
   if (record == nullptr) return false;
   if (record->bound_key == key) return true;
-  unindex_key(record->bound_key, id);
+  const bool live = record->state != EnvState::kRetired;
+  if (live) unindex_key(record->bound_key, id);
   record->bound_key = std::move(key);
-  index_key(record->bound_key, id);
+  if (live) index_key(record->bound_key, id);
   return true;
 }
 
@@ -110,6 +109,8 @@ bool ContainerDb::retire(EnvId id) {
   EnvRecord* record = find(id);
   if (record == nullptr || record->state == EnvState::kRetired) return false;
   record->state = EnvState::kRetired;
+  ++retired_count_;
+  unindex_key(record->bound_key, id);
   if (metric_retired_ != nullptr) {
     metric_retired_->inc();
     metric_active_->set(static_cast<double>(active_count()));
@@ -118,15 +119,12 @@ bool ContainerDb::retire(EnvId id) {
 }
 
 std::size_t ContainerDb::count_in(EnvState state) const {
+  if (state == EnvState::kRetired) return retired_count_;
   std::size_t n = 0;
   for (const EnvRecord& record : records_) {
     if (record.state == state) ++n;
   }
   return n;
-}
-
-std::size_t ContainerDb::active_count() const {
-  return count() - count_in(EnvState::kRetired);
 }
 
 std::vector<EnvId> ContainerDb::ids() const {

@@ -8,8 +8,10 @@
 // records live in a std::deque so the EnvRecord& returned by add()/find()
 // stays stable for the environment's lifetime, while two flat hash maps
 // (sim/flat_hash.hpp) index them — id→slot and bound-key→ids.  The key
-// index keeps ids sorted ascending so find_by_key() still returns the
-// lowest-id live match, exactly like the ordered-map scan it replaced.
+// index holds live ids only, sorted ascending, so find_by_key() returns
+// the lowest-id live match without walking retired environments.  A
+// count of retired records makes active_count() and
+// count_in(kRetired) O(1).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,7 @@ enum class EnvState : std::uint8_t {
   kIdle,          ///< booted, no running job
   kBusy,          ///< executing offloaded code
   kDraining,      ///< no new leases; finishing in-flight work
-  kRetired,       ///< stopped
+  kRetired,       ///< stopped; entered only through ContainerDb::retire()
 };
 
 [[nodiscard]] const char* to_string(EnvState state);
@@ -65,16 +67,22 @@ class ContainerDb {
   [[nodiscard]] EnvRecord* find_by_key(std::string_view key);
 
   /// Re-points an environment's binding key, keeping the key index
-  /// coherent. Returns false for unknown ids.
+  /// coherent (a retired environment is not indexed). Returns false for
+  /// unknown ids.
   bool rebind(EnvId id, std::string key);
 
+  /// Marks an environment retired and drops it from the key index.
+  /// Returns false for unknown or already retired ids.
   bool retire(EnvId id);
 
   [[nodiscard]] std::size_t count() const { return by_id_.size(); }
+  /// O(1) for kRetired; other states scan the records.
   [[nodiscard]] std::size_t count_in(EnvState state) const;
 
   /// Environments live (not retired) — the Fig. 2 active-env denominator.
-  [[nodiscard]] std::size_t active_count() const;
+  [[nodiscard]] std::size_t active_count() const {
+    return count() - retired_count_;
+  }
 
   [[nodiscard]] std::vector<EnvId> ids() const;
 
@@ -89,8 +97,9 @@ class ContainerDb {
 
   std::deque<EnvRecord> records_;  ///< stable addresses; never shrinks
   sim::FlatHashMap<EnvId, std::uint32_t> by_id_;  ///< id → records_ slot
-  /// bound key → ids holding it, sorted ascending (usually size 1).
+  /// bound key → live ids holding it, sorted ascending (usually size 1).
   sim::FlatHashMap<std::string, std::vector<EnvId>> by_key_;
+  std::size_t retired_count_ = 0;  ///< records in kRetired
   obs::Counter* metric_added_ = nullptr;
   obs::Counter* metric_retired_ = nullptr;
   obs::Gauge* metric_active_ = nullptr;

@@ -83,6 +83,7 @@ struct Platform::Env {
   std::uint32_t bound = 0;          ///< live sessions with env == this
   bool pin_mismatch = false;        ///< counted in pin_mismatched_envs_
   std::uint64_t pool_commit = 0;    ///< counted in pool_committed_bytes_
+  bool claimable = false;           ///< listed in claimable_
   bool watched = false;             ///< queued in watched_envs_
 };
 
@@ -485,9 +486,7 @@ void Platform::provision_cac(Env& env) {
   // Pin the lower layers by content digest: deduplicated across every
   // CAC, and held here so the shared base outlives any one container's
   // drain (only the private top layer is reclaimed).
-  for (const auto& layer : cc.lower_layers) {
-    layer_store_.add(container::layer_digest(*layer), layer);
-  }
+  for (const auto& layer : cc.lower_layers) layer_store_.add(layer);
   metrics_.gauge("elastic.layers.pinned_bytes")
       .set(static_cast<double>(layer_store_.stored_bytes()));
   env.cac = std::make_unique<CloudAndroidContainer>(
@@ -685,12 +684,9 @@ std::uint64_t Platform::default_env_memory() const {
 
 std::uint32_t Platform::warm_idle_count() const {
   std::uint32_t n = 0;
-  for (const auto& [id, env] : envs_) {
+  for (const auto& [id, env] : claimable_) {
     (void)id;
-    if (env->pool && !env->retired && !env->draining && env->ready &&
-        env->inflight == 0) {
-      ++n;
-    }
+    if (env->ready && env->inflight == 0) ++n;
   }
   return n;
 }
@@ -704,11 +700,9 @@ std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
   const std::uint64_t mem = default_env_memory();
   if (budget > 0 && mem > 0) {
     std::uint64_t committed = 0;
-    for (const auto& [id, env] : envs_) {
+    for (const auto& [id, env] : claimable_) {
       (void)id;
-      if (env->pool && !env->retired && !env->draining) {
-        committed += env->memory_bytes > 0 ? env->memory_bytes : mem;
-      }
+      committed += env->memory_bytes > 0 ? env->memory_bytes : mem;
     }
     const std::uint64_t room = budget > committed ? budget - committed : 0;
     count = static_cast<std::uint32_t>(
@@ -719,18 +713,17 @@ std::uint32_t Platform::elastic_prewarm(std::uint32_t count) {
 }
 
 std::uint32_t Platform::elastic_retire_warm(std::uint32_t count) {
-  std::uint32_t drained = 0;
   // Newest-first: the longest-warm environments (page caches hottest)
   // survive; deterministic because env ids are allocation-ordered.
-  for (auto it = envs_.rbegin(); it != envs_.rend() && drained < count;
-       ++it) {
-    Env& env = *it->second;
-    if (!env.pool || env.retired || env.draining) continue;
-    if (!env.ready || env.inflight > 0) continue;
-    begin_drain(env);
-    ++drained;
+  // Picked before draining, since begin_drain() edits claimable_.
+  std::vector<Env*> victims;
+  for (auto it = claimable_.rbegin();
+       it != claimable_.rend() && victims.size() < count; ++it) {
+    Env* env = it->second;
+    if (env->ready && env->inflight == 0) victims.push_back(env);
   }
-  return drained;
+  for (Env* env : victims) begin_drain(*env);
+  return static_cast<std::uint32_t>(victims.size());
 }
 
 void Platform::arm_elastic_tick() {
@@ -746,9 +739,8 @@ void Platform::elastic_tick() {
   if (pool_controller_ == nullptr) return;
   elastic::PoolSnapshot snapshot;
   snapshot.memory_per_env = default_env_memory();
-  for (const auto& [id, env] : envs_) {
+  for (const auto& [id, env] : claimable_) {
     (void)id;
-    if (!env->pool || env->retired || env->draining) continue;
     if (!env->ready) {
       ++snapshot.booting;
     } else if (env->inflight == 0) {
@@ -1335,16 +1327,8 @@ void Platform::dispatch(std::shared_ptr<SessionState> s,
       // A warm-pool environment (pre-booted, unclaimed) is rebound to
       // this device instead of paying a cold start.  Draining capacity
       // stopped leasing the moment its drain began.
-      Env* claimed = nullptr;
-      for (auto& [id, candidate] : envs_) {
-        (void)id;
-        if (candidate->pool && !candidate->retired &&
-            !candidate->draining) {
-          claimed = candidate.get();
-          break;
-        }
-      }
-      if (claimed != nullptr) {
+      if (!claimable_.empty()) {
+        Env* claimed = claimable_.begin()->second;  // lowest id
         if (claimed->ready) {
           // Prewarm lead time: how far ahead of demand the controller
           // had this environment standing warm.
@@ -2107,10 +2091,18 @@ void Platform::sync_env(Env& env) {
   } else if (!dead_bound_envs_.empty()) {
     dead_bound_envs_.erase(env.id);
   }
-  const std::uint64_t commit =
-      env.pool && !env.retired && !env.draining ? env.memory_bytes : 0;
+  const bool claimable = env.pool && !env.retired && !env.draining;
+  const std::uint64_t commit = claimable ? env.memory_bytes : 0;
   pool_committed_bytes_ = pool_committed_bytes_ - env.pool_commit + commit;
   env.pool_commit = commit;
+  if (claimable != env.claimable) {
+    env.claimable = claimable;
+    if (claimable) {
+      claimable_.emplace(env.id, &env);
+    } else {
+      claimable_.erase(env.id);
+    }
+  }
   if (!env.watched && invariants_.invariant_count() > 0) {
     env.watched = true;
     watched_envs_.push_back(&env);
@@ -2350,14 +2342,29 @@ void Platform::register_invariants() {
   invariants_.add_invariant(
       "elastic-memory-budget",
       [this, within_budget]() { return within_budget(pool_committed_bytes_); },
-      [this, within_budget]() {
+      [this, within_budget]() -> std::optional<std::string> {
+        // The scan also holds the claimable index to the same predicate:
+        // a stale entry would hand dispatch a drained or retired env.
+        const auto stale = [](std::uint32_t id) {
+          return "claimable index lists env " + std::to_string(id) +
+                 ", which is not claimable";
+        };
         std::uint64_t committed = 0;
+        auto indexed = claimable_.begin();
         for (const auto& [id, env] : envs_) {
-          (void)id;
-          if (env->pool && !env->retired && !env->draining) {
-            committed += env->memory_bytes;
+          if (!env->pool || env->retired || env->draining) continue;
+          committed += env->memory_bytes;
+          if (indexed != claimable_.end() && indexed->first < id) {
+            return stale(indexed->first);
           }
+          if (indexed == claimable_.end() || indexed->first != id ||
+              indexed->second != env.get()) {
+            return "claimable env " + std::to_string(id) +
+                   " is missing from the claimable index";
+          }
+          ++indexed;
         }
+        if (indexed != claimable_.end()) return stale(indexed->first);
         return within_budget(committed);
       });
   // 14. A blocked tenant consumes zero container time after block onset:

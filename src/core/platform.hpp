@@ -582,6 +582,10 @@ class Platform {
   std::map<std::string, std::uint32_t, std::less<>> live_by_tenant_;
   sim::Rng rng_;
   std::map<std::uint32_t, std::unique_ptr<Env>> envs_;
+  /// Claimable warm-pool environments (pool, not retired, not draining)
+  /// by id, kept by sync_env(). The dispatch claim takes the lowest id;
+  /// the elastic controller walks this instead of every env ever made.
+  std::map<std::uint32_t, Env*> claimable_;
   std::map<std::uint32_t, net::TrafficAccount> env_traffic_;
   std::map<std::string, android::MobileApp> apps_;  ///< by app id
   std::vector<device::MobileDevice> devices_;

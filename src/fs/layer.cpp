@@ -84,6 +84,12 @@ bool Layer::erase(std::string_view path) {
   return true;
 }
 
+void Layer::clear() {
+  entries_.clear();
+  total_bytes_ = 0;
+  file_count_ = 0;
+}
+
 const FileNode* Layer::find(std::string_view path) const {
   const auto it = entries_.find(normalize(path));
   return it == entries_.end() ? nullptr : &it->second;

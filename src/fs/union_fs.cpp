@@ -103,12 +103,7 @@ bool UnionFs::unlink(std::string_view path) {
 
 std::uint64_t UnionFs::purge_top_layer() {
   const std::uint64_t freed = top_.total_bytes();
-  std::vector<std::string> paths;
-  top_.for_each([&](const std::string& path, const FileNode&) {
-    paths.push_back(path);
-    return true;
-  });
-  for (const std::string& path : paths) top_.erase(path);
+  top_.clear();
   return freed;
 }
 

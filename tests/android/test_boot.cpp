@@ -54,6 +54,30 @@ TEST(Boot, BootMemoryMatchesTableOne) {
   EXPECT_NEAR(custom_mb, 96.35, 2.0);
 }
 
+void expect_same_boot(const UserspaceBoot& a, const UserspaceBoot& b) {
+  EXPECT_EQ(a.init_exec, b.init_exec);
+  EXPECT_EQ(a.zygote_preload, b.zygote_preload);
+  EXPECT_EQ(a.service_start, b.service_start);
+  EXPECT_EQ(a.hardware_probe, b.hardware_probe);
+  EXPECT_EQ(a.disk_read_bytes, b.disk_read_bytes);
+  EXPECT_EQ(a.boot_memory, b.boot_memory);
+}
+
+TEST(Boot, MemoizedBootsEqualFreshlyComputedOnes) {
+  for (const OsProfile profile : {OsProfile::kStock, OsProfile::kCustomized}) {
+    SCOPED_TRACE(profile == OsProfile::kStock ? "stock" : "customized");
+    for (int call = 0; call < 2; ++call) {  // first fill, then table hit
+      expect_same_boot(device_userspace_boot(profile),
+                       compute_device_userspace_boot(profile));
+      for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        expect_same_boot(container_userspace_boot(profile, warm),
+                         compute_container_userspace_boot(profile, warm));
+      }
+    }
+  }
+}
+
 TEST(Boot, VmPlanWalksDeviceStages) {
   const auto plan = vm_boot_plan(OsProfile::kStock);
   ASSERT_GE(plan.size(), 6u);

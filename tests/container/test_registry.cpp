@@ -36,6 +36,21 @@ TEST(Registry, DigestSensitiveToSizeAndKind) {
   EXPECT_NE(layer_digest(*a), layer_digest(*c));
 }
 
+TEST(Registry, StoreAddByLayerDedupsByContent) {
+  LayerStore store;
+  const std::shared_ptr<const fs::Layer> a = small_layer("a", 100);
+  const Digest digest = store.add(a);
+  EXPECT_EQ(digest, layer_digest(*a));
+  EXPECT_EQ(store.add(a), digest);  // memoized: same object, same digest
+  // An equal layer in another object is the same content.
+  EXPECT_EQ(store.add(small_layer("a", 100)), digest);
+  EXPECT_EQ(store.layer_count(), 1u);
+  EXPECT_EQ(store.get(digest), a);
+  EXPECT_NE(store.add(small_layer("b", 100)), digest);
+  EXPECT_EQ(store.layer_count(), 2u);
+  EXPECT_EQ(store.stored_bytes(), 200u);
+}
+
 TEST(Registry, PushImageRequiresPushedLayers) {
   ImageRegistry registry;
   EXPECT_FALSE(registry.push_image("app:1", {12345}));

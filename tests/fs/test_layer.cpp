@@ -32,6 +32,22 @@ TEST(Layer, AccountingTracksBytesAndCount) {
   EXPECT_EQ(layer.entry_count(), 3u);
 }
 
+TEST(Layer, ClearResetsEntriesAndAccounting) {
+  Layer layer("test");
+  layer.put_file("/x", 10);
+  layer.put_file("/d/y", 20);
+  layer.put_dir("/d");
+  layer.put_whiteout("/gone");
+  layer.clear();
+  EXPECT_EQ(layer.total_bytes(), 0u);
+  EXPECT_EQ(layer.file_count(), 0u);
+  EXPECT_EQ(layer.entry_count(), 0u);
+  EXPECT_FALSE(layer.contains("/x"));
+  layer.put_file("/x", 7);  // the ledger restarts from zero
+  EXPECT_EQ(layer.total_bytes(), 7u);
+  EXPECT_EQ(layer.file_count(), 1u);
+}
+
 TEST(Layer, ReplaceUpdatesAccounting) {
   Layer layer("test");
   layer.put_file("/x", 10);

@@ -46,6 +46,21 @@ TEST(UnionFs, HigherLowerLayerWins) {
   EXPECT_EQ(hit.node->size, 2u);
 }
 
+TEST(UnionFs, PurgeTopLayerFreesThePrivateDeltaOnly) {
+  UnionFs ufs("c1", {make_lower()});
+  ufs.write("/system/lib/libc.so", 1200, 0);  // COW copy-up
+  ufs.write("/data/app.db", 300, 0);
+  ufs.unlink("/system/app/base.apk");  // whiteout over the lower file
+  EXPECT_EQ(ufs.purge_top_layer(), 1500u);
+  EXPECT_EQ(ufs.private_bytes(), 0u);
+  EXPECT_EQ(ufs.top().entry_count(), 0u);
+  // The shared lower layer shows through again, untouched.
+  EXPECT_EQ(ufs.lookup("/system/lib/libc.so").node->size, 1000u);
+  EXPECT_TRUE(ufs.exists("/system/app/base.apk"));
+  EXPECT_FALSE(ufs.exists("/data/app.db"));
+  EXPECT_EQ(ufs.purge_top_layer(), 0u);
+}
+
 TEST(UnionFs, CowCopiesUpOnWriteToLowerFile) {
   UnionFs ufs("c1", {make_lower()});
   EXPECT_EQ(ufs.cow_bytes(), 0u);

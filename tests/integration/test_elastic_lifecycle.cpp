@@ -196,5 +196,33 @@ TEST(ElasticLifecycle, PredictivePoolServesWarmHits) {
       << platform.lifecycle().first_error();
 }
 
+TEST(ElasticLifecycle, ClaimableIndexHoldsUnderPoolChurnAndCrashes) {
+  // Prewarms, claims and drains interleaved with container crashes,
+  // audited after every event: invariant #13's scan holds the claimable
+  // warm-pool index to a fresh walk of every environment, so an index
+  // that missed a transition shows up as ledger drift.
+  PlatformConfig config = elastic_config(elastic::PoolMode::kPredictive);
+  config.elastic.min_warm = 2;
+  config.elastic.max_warm = 8;
+  config.elastic.drain_hold_ticks = 1;
+  config.elastic.hysteresis = 0;
+  const auto plan = sim::FaultPlan::parse("container.crash:p=0.1");
+  ASSERT_TRUE(plan.has_value());
+  config.fault_plan = *plan;
+  Platform platform(std::move(config));
+  platform.invariants().set_audit_every_run(true);
+
+  const auto outcomes = platform.run(small_stream(60, /*devices=*/30));
+  ASSERT_EQ(outcomes.size(), 60u);
+  EXPECT_TRUE(platform.invariants().ok()) << platform.invariants().report();
+  EXPECT_GT(platform.invariants().audits_run(), 0u);
+  for (const char* name : {"elastic.prewarmed", "elastic.warm_hits",
+                           "elastic.drained", "env.crashes"}) {
+    const obs::Counter* counter = platform.metrics().find_counter(name);
+    ASSERT_NE(counter, nullptr) << name;
+    EXPECT_GT(counter->value(), 0u) << name;
+  }
+}
+
 }  // namespace
 }  // namespace rattrap::core
