@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "workloads/workload.hpp"
 
@@ -31,22 +32,6 @@ double percentile(const std::vector<double>& sorted, double p) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size() - 1, rank > 0 ? rank - 1 : 0)];
-}
-
-/// One Session per mix entry; a single default standard-class session
-/// when no mix is configured (slot 0 then serves every arrival).
-std::vector<Session> open_mix_sessions(Platform& platform,
-                                       const sim::LoadGenConfig& loadgen) {
-  const std::size_t slots = std::max<std::size_t>(1, loadgen.mix.size());
-  std::vector<Session> sessions;
-  sessions.reserve(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    Result<Session> opened =
-        platform.open_session(mix_session_config(loadgen, i));
-    assert(opened && "load-driver session configs are well-formed");
-    sessions.push_back(std::move(*opened));
-  }
-  return sessions;
 }
 
 /// Task-shaping side of an adversary profile: cache-thrash tenants ship
@@ -163,72 +148,28 @@ std::vector<workloads::OffloadRequest> make_load_stream(
   return stream;
 }
 
-LoadSummary run_load(Platform& platform, const LoadDriverConfig& config) {
-  if (config.loadgen.arrival != sim::ArrivalProcess::kClosedLoop) {
-    // Open loop: the schedule is materialized up front, which is exactly
-    // the transport-shaped workload — drive it through the local adapter
-    // so the sim path and the RPC path share one code path (docs/RPC.md).
-    LocalSessionTransport transport(platform);
-    return run_load_transport(transport, config);
-  }
+namespace {
 
+/// The one submission path of both entry points.  Opens one stream per
+/// mix entry, submits the materialized schedule in arrival order (routed
+/// by the per-arrival mix draw), closes every stream and reduces the
+/// merged outcomes.  With `closed_loop` set, that schedule is the seed
+/// wave: every follow-up request is born inside the platform's
+/// completion observer, after the issuing device's think time, and rides
+/// the same transport.
+LoadSummary drive(SessionTransport& transport, const LoadDriverConfig& config,
+                  Platform* closed_loop) {
   const std::vector<workloads::TaskSpec> variants = make_variants(config);
-  std::vector<Session> sessions = open_mix_sessions(platform, config.loadgen);
-
-  // The closed-loop source must outlive the close() drain below: the
-  // completion observer captures it and keeps drawing from it until the
-  // run's event queue is empty.
-  sim::ClosedLoopSource source(config.loadgen);
-
-  // Closed loop: the seed wave is materialized; every follow-up request
-  // is born inside the completion observer, after the issuing device's
-  // think time.  Backpressure at completion instant stretches the think
-  // draw, which is the graceful-degradation feedback path.  Devices are
-  // pinned to one mix slot (mix_for_device), so a device's tenant and
-  // class never flap mid-run.
-  platform.set_completion_observer([&platform, &source, &variants, &sessions,
-                                    &config](const RequestOutcome& done) {
-    if (source.exhausted()) return;
-    const std::uint64_t sequence = source.take();
-    const sim::SimDuration think =
-        source.think(done.request.device_id, platform.backpressure());
-    const std::uint32_t slot =
-        sim::mix_for_device(config.loadgen, done.request.device_id);
-    workloads::OffloadRequest next;
-    next.sequence = sequence;
-    next.device_id = done.request.device_id;
-    next.task = shape_task(variants[sequence % variants.size()],
-                           slot_adversary(config.loadgen, slot));
-    next.arrival = platform.server().simulator().now() + think;
-    sessions[slot].submit(next);
-  });
-  for (const sim::Arrival& arrival : sim::make_arrivals(config.loadgen)) {
-    const std::uint64_t sequence = source.take();
-    assert(sequence == arrival.sequence);
+  const auto make_request = [&](std::uint64_t sequence, std::uint32_t device,
+                                std::size_t slot, sim::SimTime at) {
     workloads::OffloadRequest request;
     request.sequence = sequence;
-    request.device_id = arrival.device_id;
+    request.device_id = device;
     request.task = shape_task(variants[sequence % variants.size()],
-                              slot_adversary(config.loadgen, arrival.mix_index));
-    request.arrival = arrival.at;
-    sessions[arrival.mix_index].submit(request);
-  }
-
-  // The first close() drains the whole run (the event queue is shared),
-  // so any observer-born follow-ups complete before their session closes.
-  std::vector<RequestOutcome> outcomes;
-  for (Session& session : sessions) {
-    absorb_outcomes(outcomes, session.close());
-  }
-  platform.set_completion_observer({});
-  return summarize_load(outcomes);
-}
-
-LoadSummary run_load_transport(SessionTransport& transport,
-                               const LoadDriverConfig& config) {
-  assert(config.loadgen.arrival != sim::ArrivalProcess::kClosedLoop &&
-         "closed-loop feedback needs the in-process observer (run_load)");
-  const std::vector<workloads::TaskSpec> variants = make_variants(config);
+                              slot_adversary(config.loadgen, slot));
+    request.arrival = at;
+    return request;
+  };
 
   const std::size_t slots =
       std::max<std::size_t>(1, config.loadgen.mix.size());
@@ -246,25 +187,62 @@ LoadSummary run_load_transport(SessionTransport& transport,
     streams.push_back(*opened);
   }
 
-  // Submit the whole schedule up front, routed by the per-arrival mix
-  // draw — byte-for-byte the submission order of the pre-transport
-  // driver.
+  // The closed-loop source must outlive the close() drain below: the
+  // completion observer draws from it until the event queue is empty.
+  // Backpressure at completion instant stretches the think draw, which
+  // is the graceful-degradation feedback path.  Devices are pinned to
+  // one mix slot (mix_for_device), so a device's tenant and class never
+  // flap mid-run.
+  std::optional<sim::ClosedLoopSource> source;
+  if (closed_loop != nullptr) {
+    source.emplace(config.loadgen);
+    closed_loop->set_completion_observer([&](const RequestOutcome& done) {
+      if (source->exhausted()) return;
+      const std::uint64_t sequence = source->take();
+      const std::uint32_t device = done.request.device_id;
+      const sim::SimDuration think =
+          source->think(device, closed_loop->backpressure());
+      const std::uint32_t slot = sim::mix_for_device(config.loadgen, device);
+      transport.submit(
+          streams[slot],
+          make_request(sequence, device, slot,
+                       closed_loop->server().simulator().now() + think));
+    });
+  }
   for (const sim::Arrival& arrival : sim::make_arrivals(config.loadgen)) {
-    workloads::OffloadRequest request;
-    request.sequence = arrival.sequence;
-    request.device_id = arrival.device_id;
-    request.task = shape_task(variants[arrival.sequence % variants.size()],
-                              slot_adversary(config.loadgen, arrival.mix_index));
-    request.arrival = arrival.at;
-    transport.submit(streams[arrival.mix_index], request);
+    if (source) {
+      [[maybe_unused]] const std::uint64_t sequence = source->take();
+      assert(sequence == arrival.sequence);
+    }
+    transport.submit(streams[arrival.mix_index],
+                     make_request(arrival.sequence, arrival.device_id,
+                                  arrival.mix_index, arrival.at));
   }
 
-  // The first close() drains the whole run server-side.
+  // The first close() drains the whole run server-side, so any
+  // observer-born follow-ups complete before their stream closes.
   std::vector<RequestOutcome> outcomes;
   for (const std::uint64_t id : streams) {
     absorb_outcomes(outcomes, transport.close(id));
   }
+  if (closed_loop != nullptr) closed_loop->set_completion_observer({});
   return summarize_load(outcomes);
+}
+
+}  // namespace
+
+LoadSummary run_load(Platform& platform, const LoadDriverConfig& config) {
+  LocalSessionTransport transport(platform);
+  const bool closed =
+      config.loadgen.arrival == sim::ArrivalProcess::kClosedLoop;
+  return drive(transport, config, closed ? &platform : nullptr);
+}
+
+LoadSummary run_load_transport(SessionTransport& transport,
+                               const LoadDriverConfig& config) {
+  assert(config.loadgen.arrival != sim::ArrivalProcess::kClosedLoop &&
+         "closed-loop feedback needs the in-process observer (run_load)");
+  return drive(transport, config, nullptr);
 }
 
 LoadSummary summarize_load(const std::vector<RequestOutcome>& outcomes) {

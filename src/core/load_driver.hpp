@@ -158,8 +158,8 @@ class SessionTransport {
 };
 
 /// SessionTransport over an in-process Platform: a thin adapter around
-/// Session handles making exactly the open/submit/close call sequence
-/// the pre-transport driver made — the sim path stays byte-identical.
+/// Session handles, and the transport run_load() drives both open- and
+/// closed-loop load through.
 class LocalSessionTransport final : public SessionTransport {
  public:
   explicit LocalSessionTransport(Platform& platform) : platform_(platform) {}
@@ -189,12 +189,13 @@ class LocalSessionTransport final : public SessionTransport {
     const LoadDriverConfig& config);
 
 /// Drives `platform` with the configured load to completion and reduces
-/// the outcomes.  Opens one Session per traffic-mix entry (or a single
-/// default session when the mix is empty) so every request carries its
-/// tenant / class / weight through admission.  Dispatches on
-/// config.loadgen.arrival: open-loop models submit a materialized
-/// schedule; kClosedLoop closes the loop through a completion observer
-/// (installed for the duration of the call).
+/// the outcomes, over a LocalSessionTransport: one Session per
+/// traffic-mix entry (or a single default session when the mix is empty)
+/// so every request carries its tenant / class / weight through
+/// admission.  Open-loop models submit a materialized schedule;
+/// kClosedLoop submits the seed wave and closes the loop through a
+/// completion observer (installed for the duration of the call) that
+/// submits through the same transport.
 LoadSummary run_load(Platform& platform, const LoadDriverConfig& config);
 
 /// Open-loop load over any transport: opens one stream per mix entry,

@@ -327,8 +327,8 @@ Platform::Platform(PlatformConfig config)
   }
   // The oracle is armed under a fault plan, and on fault-free runs when
   // the property battery asks for it.
-  if (config_.check_invariants &&
-      (faults_ != nullptr || config_.force_invariants)) {
+  if (config_.invariants == InvariantMode::kOn ||
+      (config_.invariants == InvariantMode::kAuto && faults_ != nullptr)) {
     register_invariants();
     server_->simulator().set_post_event_hook([this]() { after_event(); });
   }
@@ -767,9 +767,10 @@ void Platform::elastic_tick() {
 
 std::vector<RequestOutcome> Platform::run(
     const std::vector<workloads::OffloadRequest>& stream) {
-  begin_run();
-  for (const auto& request : stream) submit(request);
-  return finish_run();
+  Session session = std::move(*open_session());  // defaults never reject
+  for (const auto& request : stream) session.submit(request);
+  session.close();
+  return outcomes_;
 }
 
 // -- Session handles (docs/QOS.md) ------------------------------------
@@ -837,7 +838,7 @@ Result<Session> Platform::open_session(SessionConfig config) {
           AccessDeny::kNone) {
     return RejectReason::kAccessDenied;
   }
-  if (!run_active_) reset_run();
+  if (streams_.empty()) reset_run();
   const std::uint64_t id = next_stream_id_++;
   Stream stream;
   stream.config = std::move(config);
@@ -866,51 +867,18 @@ const RequestOutcome* Platform::result(std::uint64_t sequence) const {
 std::vector<RequestOutcome> Platform::close_stream(
     std::uint64_t stream_id) {
   const auto it = streams_.find(stream_id);
-  if (it == streams_.end() || !it->second.open) return {};
+  if (it == streams_.end()) return {};
+  // The stream stays registered through the drain: a completion observer
+  // may still submit into it (Session::close()).
   drain_run();
-  it->second.open = false;
   std::vector<RequestOutcome> results;
   results.reserve(it->second.sequences.size());
   for (const std::uint64_t sequence : it->second.sequences) {
     assert(sequence < outcomes_.size() && outcome_done_[sequence] != 0);
     results.push_back(outcomes_[sequence]);
   }
-  bool any_open = false;
-  for (const auto& [id, stream] : streams_) {
-    (void)id;
-    if (stream.open) any_open = true;
-  }
-  if (!any_open) run_active_ = false;
+  streams_.erase(it);
   return results;
-}
-
-// -- Legacy wrappers (one default session) ----------------------------
-
-void Platform::begin_run() {
-  reset_run();
-  default_stream_ = next_stream_id_++;
-  streams_.emplace(default_stream_, Stream{});
-}
-
-void Platform::submit(const workloads::OffloadRequest& request) {
-  if (!run_active_) reset_run();
-  const auto it = streams_.find(default_stream_);
-  if (it == streams_.end() || !it->second.open) {
-    default_stream_ = next_stream_id_++;
-    streams_.emplace(default_stream_, Stream{});
-  }
-  submit_to_stream(default_stream_, request);
-}
-
-std::vector<RequestOutcome> Platform::finish_run() {
-  drain_run();
-  for (auto& [id, stream] : streams_) {
-    (void)id;
-    stream.open = false;
-  }
-  run_active_ = false;
-  default_stream_ = 0;
-  return outcomes_;
 }
 
 // ---------------------------------------------------------------------
@@ -922,9 +890,6 @@ void Platform::reset_run() {
   live_sessions_.clear();
   queued_sessions_.clear();
   if (admission_ != nullptr) admission_->scheduler().clear();
-  streams_.clear();
-  default_stream_ = 0;
-  run_active_ = true;
   sim::Simulator& simulator = server_->simulator();
   if (envs_.empty()) {
     const std::uint32_t initial =
@@ -966,7 +931,7 @@ void Platform::reset_run() {
 void Platform::submit_to_stream(std::uint64_t stream_id,
                                 const workloads::OffloadRequest& request) {
   const auto stream_it = streams_.find(stream_id);
-  assert(stream_it != streams_.end() && stream_it->second.open &&
+  assert(stream_it != streams_.end() &&
          "submit on an unknown or closed session");
   Stream& stream = stream_it->second;
   stream.sequences.push_back(request.sequence);

@@ -13,8 +13,8 @@
 // Clients talk to the engine through Session handles (open_session →
 // submit → result/close): a session carries the QoS identity — tenant,
 // priority class, DRR weight, deadline — that the admission front door
-// schedules on (docs/QOS.md).  The legacy begin_run / submit /
-// finish_run trio survives as thin wrappers over one default session.
+// schedules on (docs/QOS.md).  run() replays a whole stream through one
+// such session.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +56,13 @@ enum class PlatformKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(PlatformKind kind);
+
+/// When the cross-component invariant harness is armed (docs/FAULTS.md).
+enum class InvariantMode : std::uint8_t {
+  kAuto,  ///< armed iff a fault plan is installed
+  kOn,    ///< armed on fault-free runs too (the property batteries)
+  kOff,   ///< never armed
+};
 
 /// One scheduled device handoff: at virtual time `at` the fleet's radio
 /// becomes `to` (the paper's per-radio cost models follow — §VI-A link
@@ -123,10 +130,11 @@ struct PlatformConfig {
   /// programmatically or with sim::FaultPlan::parse("net.drop:p=0.05;…").
   sim::FaultPlan fault_plan;
 
-  /// Evaluate the cross-component invariants after every simulator event
-  /// (active only while a fault plan is installed, or with
-  /// force_invariants).
-  bool check_invariants = true;
+  /// Arming of the invariant harness.  Its per-event checks read
+  /// ledgers, so their cost does not grow with live sessions or
+  /// environment history; the full scans run only as a periodic audit
+  /// (docs/FAULTS.md).  kOn is safe at any session scale.
+  InvariantMode invariants = InvariantMode::kAuto;
 
   /// Crash recovery: the Monitor's health sweep detects a dead
   /// environment and the Dispatcher re-dispatches its sessions to a
@@ -175,13 +183,6 @@ struct PlatformConfig {
   /// The cluster shard this platform instance serves as (set by Cluster;
   /// annotated on session spans as "placement").  -1 = standalone.
   std::int32_t shard_index = -1;
-
-  /// Run the invariant harness even without a fault plan (the load-gen
-  /// property battery).  The per-event checks read ledgers, so their cost
-  /// does not grow with live sessions or environment history; the full
-  /// scans run only as a periodic audit (docs/FAULTS.md).  Safe to leave
-  /// on at any session scale.
-  bool force_invariants = false;
 };
 
 /// Canonical configuration for one of the three evaluated platforms.
@@ -276,46 +277,35 @@ class Platform {
   [[nodiscard]] const PlatformConfig& config() const { return config_; }
   [[nodiscard]] CloudServer& server() { return *server_; }
 
-  /// Replays a request stream to completion; outcomes are indexed by
-  /// request sequence.  Tasks are actually executed (real kernels) to
-  /// obtain their work units.
+  /// Replays a request stream to completion through one default
+  /// (standard-class, per-app-tenant) Session, in any submission order.
+  /// Returns every outcome of the run indexed by request sequence.  Tasks
+  /// are actually executed (real kernels) to obtain their work units.
+  /// While another Session is still open, run() joins that session's run
+  /// instead of starting a fresh one: the result then also holds the
+  /// outcomes of the other session's requests submitted so far.
   std::vector<RequestOutcome> run(
       const std::vector<workloads::OffloadRequest>& stream);
 
   // -- Session API (docs/QOS.md) ---------------------------------------
   //
-  // run() is sugar over one Session.  A closed-loop driver opens one
-  // session per traffic class, installs a completion observer, and
-  // submits follow-up requests *from inside the observer* — the arrivals
-  // land on the same event queue, so a dynamically generated workload is
-  // exactly as deterministic as a replayed one.
+  // A closed-loop driver opens one session per traffic class, installs a
+  // completion observer, and submits follow-up requests *from inside the
+  // observer* — the arrivals land on the same event queue, so a
+  // dynamically generated workload is exactly as deterministic as a
+  // replayed one.
 
-  /// Opens a client session carrying the given QoS identity.  The first
-  /// session opened after the previous run finished resets per-run state
-  /// (outcomes, live sessions, accept queues) and provisions the warm
-  /// pool / fault pump; further sessions join the active run.
+  /// Opens a client session carrying the given QoS identity.  A run is
+  /// active while any session is open: the first session opened when
+  /// none is resets per-run state (outcomes, live sessions, accept
+  /// queues) and provisions the warm pool / fault pump; further sessions
+  /// join the active run.
   /// kInvalidConfig: tenant_weight of 0, or a non-default weight without
   /// a named tenant.
   Result<Session> open_session(SessionConfig config = {});
 
   /// The finished outcome for `sequence` (any session), or nullptr.
   [[nodiscard]] const RequestOutcome* result(std::uint64_t sequence) const;
-
-  // -- Legacy incremental API ------------------------------------------
-  //
-  // Deprecated wrappers over one default (standard-class, per-app-tenant)
-  // session; prefer open_session().  Kept so pre-QoS callers compile
-  // unchanged.
-
-  /// Deprecated: open_session() resets per-run state on demand.
-  void begin_run();
-
-  /// Deprecated: Session::submit() on the default session.
-  void submit(const workloads::OffloadRequest& request);
-
-  /// Deprecated: drains the event queue and returns every outcome of the
-  /// run — *all* sessions', indexed by sequence — then ends the run.
-  std::vector<RequestOutcome> finish_run();
 
   /// Observer invoked with each finished outcome (completed, rejected or
   /// executed locally) — the closed-loop feedback path. Empty uninstalls.
@@ -368,8 +358,8 @@ class Platform {
     return faults_.get();
   }
 
-  /// The cross-component invariant harness (populated when a fault plan
-  /// is installed or force_invariants is set; the ledger checks run after
+  /// The cross-component invariant harness (populated when
+  /// PlatformConfig::invariants arms it; the ledger checks run after
   /// every simulator event, the full-scan audit every
   /// InvariantChecker::kAuditEvery events and when a run drains).
   [[nodiscard]] const InvariantChecker& invariants() const {
@@ -451,7 +441,6 @@ class Platform {
   struct Stream {
     SessionConfig config;
     std::vector<std::uint64_t> sequences;  ///< submission order
-    bool open = true;
   };
 
   Env& provision_env(const std::string& binding_key, sim::SimTime now);
@@ -598,10 +587,9 @@ class Platform {
   bool elastic_tick_armed_ = false;
   /// Open lifecycle-state span per environment (trace enabled only).
   std::map<std::uint32_t, obs::SpanId> lifecycle_spans_;
-  std::map<std::uint64_t, Stream> streams_;  ///< by Session handle id
+  /// Open sessions by handle id; a run is active while this is non-empty.
+  std::map<std::uint64_t, Stream> streams_;
   std::uint64_t next_stream_id_ = 1;
-  std::uint64_t default_stream_ = 0;  ///< legacy-wrapper session, 0 = none
-  bool run_active_ = false;
   std::size_t completed_ = 0;
   std::uint32_t next_env_id_ = 1;
   /// Radio the platform was constructed with; each run's mobility plan

@@ -35,7 +35,7 @@ PlatformConfig elastic_config(elastic::PoolMode mode,
   PlatformConfig config = make_config(PlatformKind::kRattrap);
   config.elastic.mode = mode;
   config.elastic.static_target = target;
-  config.force_invariants = true;  // lifecycle invariants on every event
+  config.invariants = InvariantMode::kOn;  // lifecycle checks every event
   return config;
 }
 
@@ -44,9 +44,9 @@ TEST(ElasticLifecycle, DrainRacesInFlightBoot) {
   // bound session must still complete on it, and only then may the
   // reclaim finish.
   Platform platform(elastic_config(elastic::PoolMode::kDisabled, 0));
-  platform.begin_run();
-  const auto stream = small_stream(1);
-  for (const auto& request : stream) platform.submit(request);
+  Result<Session> session = platform.open_session();
+  ASSERT_TRUE(session);
+  for (const auto& request : small_stream(1)) session->submit(request);
 
   // Probe on a fine grid and drain at the first instant the boot is
   // observably in flight — robust to calibration changes in connection
@@ -61,7 +61,7 @@ TEST(ElasticLifecycle, DrainRacesInFlightBoot) {
           }
         });
   }
-  const auto outcomes = platform.finish_run();
+  const auto outcomes = session->close();
 
   ASSERT_TRUE(drained_while_booting)
       << "env 1 was never observed booting; retune the probe grid";
@@ -101,7 +101,8 @@ TEST(ElasticLifecycle, DrainWithSessionFaultingMidRun) {
 
 TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
   Platform platform(elastic_config(elastic::PoolMode::kStatic, 1));
-  platform.begin_run();  // prewarms pool env 1
+  Result<Session> session = platform.open_session();  // prewarms env 1
+  ASSERT_TRUE(session);
   bool first = false;
   bool second = false;
   platform.server().simulator().schedule_at(
@@ -109,9 +110,8 @@ TEST(ElasticLifecycle, DoubleDrainIsIdempotent) {
         first = platform.drain_env(1);
         second = platform.drain_env(1);  // already draining or reclaimed
       });
-  const auto stream = small_stream(2);
-  for (const auto& request : stream) platform.submit(request);
-  platform.finish_run();
+  for (const auto& request : small_stream(2)) session->submit(request);
+  session->close();
 
   EXPECT_TRUE(first);
   EXPECT_FALSE(second);

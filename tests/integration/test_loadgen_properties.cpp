@@ -40,7 +40,7 @@ PropertyCase make_case(std::uint64_t seed) {
   PropertyCase c;
   c.platform = make_config(PlatformKind::kRattrap);
   c.platform.seed = seed;
-  c.platform.force_invariants = true;
+  c.platform.invariants = InvariantMode::kOn;
 
   c.driver.loadgen.seed = seed;
   c.driver.loadgen.arrival = static_cast<sim::ArrivalProcess>(seed % 3);
@@ -134,7 +134,7 @@ TEST(LoadGenProperties, RandomizedSeedsHoldEveryInvariant) {
       failures.push_back("seed " + std::to_string(seed) + ": " + why);
     };
 
-    // Invariant harness: armed (fault-free force_invariants path) and
+    // Invariant harness: armed (fault-free InvariantMode::kOn path) and
     // silent.
     if (platform.invariants().invariant_count() == 0) {
       fail("invariant harness was not armed");
@@ -247,7 +247,7 @@ TEST(LoadGenProperties, RejectedPlusCompletedEqualsOfferedUnderPressure) {
   // shed, and every one of them must still be accounted for.
   PlatformConfig config = make_config(PlatformKind::kRattrap);
   config.seed = 77;
-  config.force_invariants = true;
+  config.invariants = InvariantMode::kOn;
   config.admission.enabled = true;
   config.admission.max_in_service = 2;
   config.admission.queue_capacity = 3;
@@ -436,7 +436,7 @@ TEST(LoadGenProperties, EngineSwapGoldenDeterminism) {
   const auto run_arm = [](const Arm& arm, std::uint64_t seed) {
     PlatformConfig config = make_config(PlatformKind::kRattrap);
     config.seed = seed;
-    config.force_invariants = true;
+    config.invariants = InvariantMode::kOn;
     config.admission.enabled = true;
     config.admission.max_in_service = 3;
     config.admission.queue_capacity = 6;
@@ -600,11 +600,7 @@ TEST(LoadGenProperties, QueueDepthNeverExceedsBoundMidRun) {
   platform.set_completion_observer([&](const RequestOutcome&) {
     peak_depth = std::max(peak_depth, platform.accept_queue_depth());
   });
-  platform.begin_run();
-  for (const auto& request : make_load_stream(driver)) {
-    platform.submit(request);
-  }
-  const auto outcomes = platform.finish_run();
+  const auto outcomes = platform.run(make_load_stream(driver));
   platform.set_completion_observer({});
 
   EXPECT_EQ(outcomes.size(), 120u);

@@ -29,7 +29,7 @@ PlatformConfig mobility_config(std::vector<HandoffEvent> plan,
   PlatformConfig config = make_config(PlatformKind::kRattrap,
                                       net::lan_wifi(), seed);
   config.mobility = std::move(plan);
-  config.force_invariants = true;
+  config.invariants = InvariantMode::kOn;
   return config;
 }
 

@@ -46,7 +46,7 @@ BatteryCase make_case(std::uint64_t seed) {
   BatteryCase c;
   c.platform = make_config(PlatformKind::kRattrap);
   c.platform.seed = seed;
-  c.platform.force_invariants = true;
+  c.platform.invariants = InvariantMode::kOn;
   c.platform.admission.enabled = true;
   c.platform.admission.max_in_service =
       2 + static_cast<std::uint32_t>(seed % 4);
@@ -236,7 +236,7 @@ TEST(RacBattery, BlockingIsMonotoneInViolationThreshold) {
   const auto run_with_threshold = [](std::uint32_t threshold) {
     PlatformConfig config = make_config(PlatformKind::kRattrap);
     config.seed = 41;
-    config.force_invariants = true;
+    config.invariants = InvariantMode::kOn;
     config.admission.enabled = true;
     config.access.violation_threshold = threshold;
     config.access.block_duration = sim::from_seconds(2.0);
@@ -288,7 +288,7 @@ TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
   // then — after the window expires — completes honest work again.
   PlatformConfig config = make_config(PlatformKind::kRattrap);
   config.seed = 43;
-  config.force_invariants = true;
+  config.invariants = InvariantMode::kOn;
   config.access.violation_threshold = 2;
   config.access.block_duration = sim::from_seconds(2.0);
   Platform platform(std::move(config));
@@ -308,7 +308,6 @@ TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
         workloads::Kind::kLinpack, arrivals, 1, 1, seed);
   };
 
-  platform.begin_run();
   Result<Session> abuser = platform.open_session(abusive);
   ASSERT_TRUE(abuser.ok());
   for (const auto& request :
@@ -336,7 +335,6 @@ TEST(RacBattery, UnblockRestoresServiceAfterPenaltyWindow) {
     reformed->submit(request);
   }
   const auto reformed_outcomes = reformed->close();
-  (void)platform.finish_run();
   ASSERT_EQ(reformed_outcomes.size(), 1u);
   EXPECT_FALSE(reformed_outcomes[0].rejected)
       << "service was not restored after the penalty window expired";

@@ -1,10 +1,10 @@
 // Session-handle API (docs/QOS.md): open_session / submit / result /
-// close, its QoS identity plumbing, and equivalence with the legacy
-// begin_run / submit / finish_run trio it wraps.
+// close, its QoS identity plumbing, and Platform::run() on top of it.
 #include "core/platform.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "workloads/generator.hpp"
@@ -155,29 +155,6 @@ TEST(SessionApi, DestructorClosesWithoutLeakingTheRun) {
   EXPECT_EQ(session.close().size(), 3u);
 }
 
-TEST(SessionApi, LegacyTrioMatchesSessionApiByteForByte) {
-  const auto stream = small_stream(12);
-
-  Platform legacy(make_config(PlatformKind::kRattrap));
-  legacy.begin_run();
-  for (const auto& request : stream) legacy.submit(request);
-  const auto old_way = legacy.finish_run();
-
-  Platform modern(make_config(PlatformKind::kRattrap));
-  Result<Session> opened = modern.open_session();
-  ASSERT_TRUE(opened.ok());
-  Session session = std::move(*opened);
-  for (const auto& request : stream) session.submit(request);
-  const auto new_way = session.close();
-
-  ASSERT_EQ(old_way.size(), new_way.size());
-  for (std::size_t i = 0; i < old_way.size(); ++i) {
-    EXPECT_EQ(old_way[i].response, new_way[i].response) << i;
-    EXPECT_EQ(old_way[i].completed_at, new_way[i].completed_at) << i;
-    EXPECT_EQ(old_way[i].tenant, new_way[i].tenant) << i;
-  }
-}
-
 TEST(SessionApi, LegacyRunStillWorksAfterSessionRuns) {
   Platform platform(make_config(PlatformKind::kRattrap));
   {
@@ -189,6 +166,46 @@ TEST(SessionApi, LegacyRunStillWorksAfterSessionRuns) {
   }
   const auto outcomes = platform.run(small_stream(4, /*seed=*/34));
   EXPECT_EQ(outcomes.size(), 4u);
+}
+
+TEST(SessionApi, RunIndexesOutcomesBySequenceInAnySubmissionOrder) {
+  const auto stream = small_stream(8);
+  auto reversed = stream;
+  std::reverse(reversed.begin(), reversed.end());
+
+  Platform in_order(make_config(PlatformKind::kRattrap));
+  const auto expected = in_order.run(stream);
+  Platform shuffled(make_config(PlatformKind::kRattrap));
+  const auto outcomes = shuffled.run(reversed);
+
+  ASSERT_EQ(outcomes.size(), stream.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].request.sequence, i);
+    EXPECT_EQ(outcomes[i].response, expected[i].response) << i;
+    EXPECT_EQ(outcomes[i].completed_at, expected[i].completed_at) << i;
+  }
+}
+
+TEST(SessionApi, RunJoinsTheRunOfAStillOpenSession) {
+  Platform platform(make_config(PlatformKind::kRattrap));
+  const auto stream = small_stream(8);
+  Result<Session> held = platform.open_session();
+  ASSERT_TRUE(held.ok());
+  for (std::size_t i = 0; i < 4; ++i) held->submit(stream[i]);
+
+  // run() drains the shared run: the open session's requests finish too
+  // and come back beside its own, all indexed by sequence.
+  const auto outcomes = platform.run({stream.begin() + 4, stream.end()});
+  ASSERT_EQ(outcomes.size(), stream.size());
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].request.sequence, i);
+    EXPECT_GT(outcomes[i].response, 0) << i;
+  }
+  const auto from_open = held->close();
+  ASSERT_EQ(from_open.size(), 4u);
+  for (std::size_t i = 0; i < from_open.size(); ++i) {
+    EXPECT_EQ(from_open[i].completed_at, outcomes[i].completed_at) << i;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // CLI contract for tools/experiments: golden determinism (same manifest
 // + seed => byte-identical summary fingerprint, regardless of worker
 // count), teeth (a tripped expect.* criterion or a manifest typo must
-// exit nonzero — CI gates on this), and strict flag parsing.
+// exit nonzero — CI gates on this), strict flag and value parsing, and
+// the committed fault-sweep manifest.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -189,6 +190,75 @@ TEST(ExperimentsCli, DisarmedRacFailsTheAdversaryGate) {
   EXPECT_NE(summary.find("min.rac.blocks"), std::string::npos) << summary;
   EXPECT_EQ(summary.find("invariant_violations"), std::string::npos)
       << summary;
+}
+
+TEST(ExperimentsCli, FaultSweepManifestPlansBothSweeps) {
+  const std::string manifest = RATTRAP_FAULT_SWEEP_MANIFEST;
+  const CommandResult quick =
+      run_command(kBin + " --manifest " + manifest + " --list --quick");
+  ASSERT_EQ(quick.exit_code, 0) << quick.output;
+  EXPECT_TRUE(quick.contains("30 runs across 1 experiments")) << quick.output;
+  const CommandResult full =
+      run_command(kBin + " --manifest " + manifest + " --list");
+  ASSERT_EQ(full.exit_code, 0) << full.output;
+  EXPECT_TRUE(full.contains("36 runs across 2 experiments")) << full.output;
+}
+
+// A seed sweep with crash faults; `recovery` and the expectation vary.
+std::string crash_sweep(const std::string& recovery) {
+  return "[crash-sweep]\n"
+         "quick = true\n"
+         "arrival = poisson\n"
+         "kind = linpack\n"
+         "rate = 0.5\n"
+         "devices = 6\n"
+         "requests = 40\n"
+         "faults = container.crash:p=0.1\n"
+         "recovery = " + recovery + "\n"
+         "seed = 1|2|3|4|5\n"
+         "expect.max.invariant_violations = 0\n";
+}
+
+TEST(ExperimentsCli, RecoveryOffTripsTheInvariantGate) {
+  // The harness's teeth: with crash re-dispatch off, sessions strand on
+  // dead environments and the liveness invariant must fail the sweep.
+  const std::string on = write_manifest("recovery-on.ini", crash_sweep("on"));
+  const CommandResult armed = run_command(
+      kBin + " --manifest " + on + " --quick --out " + ::testing::TempDir() +
+      "recovery-on-out");
+  EXPECT_EQ(armed.exit_code, 0) << armed.output;
+
+  const std::string off =
+      write_manifest("recovery-off.ini", crash_sweep("off"));
+  const std::string out = ::testing::TempDir() + "recovery-off-out";
+  const CommandResult result = run_command(
+      kBin + " --manifest " + off + " --quick --out " + out);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  const std::string summary = read_file(out + "/summary.md");
+  EXPECT_NE(summary.find("max.invariant_violations"), std::string::npos)
+      << summary;
+}
+
+TEST(ExperimentsCli, MalformedRecoveryValueIsAManifestError) {
+  const std::string path =
+      write_manifest("recovery-bad.ini", crash_sweep("maybe"));
+  const CommandResult result =
+      run_command(kBin + " --manifest " + path + " --quick --out " +
+                  ::testing::TempDir() + "recovery-bad-out");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_TRUE(result.contains("recovery must be on|off")) << result.output;
+}
+
+TEST(ExperimentsCli, InvariantsAcceptsOnlyAutoOnOff) {
+  const std::string path = write_manifest(
+      "invariants-force.ini",
+      "[x]\nquick = true\nrequests = 60\ninvariants = force\n");
+  const CommandResult result =
+      run_command(kBin + " --manifest " + path + " --quick --out " +
+                  ::testing::TempDir() + "invariants-force-out");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_TRUE(result.contains("invariants must be auto|on|off"))
+      << result.output;
 }
 
 TEST(ExperimentsCli, UnknownCriterionMetricFails) {

@@ -13,9 +13,10 @@
 //   experiments --print-manifest > my.ini            # builtin as a seed
 //
 // Exit code: 0 every experiment passed, 1 any criterion tripped or a
-// worker failed, 2 usage/manifest errors.  The summary fingerprint
-// printed at the end hashes summary.json — same manifest + same seeds ⇒
-// byte-identical summary, checkable from a shell.
+// worker failed, 2 usage/manifest errors (including a bad key or value
+// in any planned run).  The summary fingerprint printed at the end
+// hashes summary.json — same manifest + same seeds ⇒ byte-identical
+// summary, checkable from a shell.
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -518,7 +519,13 @@ std::string csv_header() {
 
 std::string csv_row(const PlannedRun& run, const RunOutcome& outcome,
                     bool pass) {
-  std::string line = run.experiment + "," + run.spec.label;
+  // A multi-axis label ("rate=50,seed=1") or a fault plan holds commas:
+  // quote it so the row keeps one label column.
+  std::string label = "\"";
+  for (const char c : run.spec.label) {
+    label += c == '"' ? "\"\"" : std::string(1, c);
+  }
+  std::string line = run.experiment + "," + label + "\"";
   for (const std::string& column : csv_metrics()) {
     const std::string* value = outcome.metric(column);
     line += ",";
@@ -600,6 +607,16 @@ int main(int argc, char** argv) {
     std::printf("%zu runs across %zu experiments\n", runs.size(),
                 selected.size());
     return 0;
+  }
+
+  // A bad key or value is a manifest error, caught before any run.
+  for (const PlannedRun& run : runs) {
+    Scenario configured;
+    error = configure(run.spec, configured);
+    if (!error.empty()) {
+      std::fprintf(stderr, "experiments: %s\n", error.c_str());
+      return 2;
+    }
   }
 
   if (!mkdir_p(options.out)) {

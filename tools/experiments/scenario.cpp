@@ -40,7 +40,7 @@ const std::set<std::string_view>& known_keys() {
       "tenant_queue_quota",
       "elastic",     "elastic_target", "elastic_max",
       "faults",      "storm_crashes", "storm_at", "storm_spacing",
-      "handoff",     "invariants", "warm_pool", "adaptive",
+      "handoff",     "invariants", "recovery", "warm_pool", "adaptive",
   };
   return keys;
 }
@@ -218,12 +218,9 @@ std::string RunResult::to_json(const RunSpec& spec) const {
   return out;
 }
 
-RunResult execute_run(const RunSpec& spec) {
-  RunResult result;
+std::string configure(const RunSpec& spec, Scenario& out) {
   const auto fail = [&](const std::string& what) {
-    result.ok = false;
-    result.error = "[" + spec.experiment + "/" + spec.label + "] " + what;
-    return result;
+    return "[" + spec.experiment + "/" + spec.label + "] " + what;
   };
 
   for (const auto& [key, value] : spec.params) {
@@ -279,10 +276,11 @@ RunResult execute_run(const RunSpec& spec) {
   if (const std::string* v = get("link")) {
     if (!parse_link(*v, link)) return fail("unknown link '" + *v + "'");
   }
-  core::PlatformConfig platform_config = core::make_config(kind, link);
+  out.platform = core::make_config(kind, link);
+  core::PlatformConfig& platform_config = out.platform;
 
   // -- Load --------------------------------------------------------------
-  core::LoadDriverConfig driver;
+  core::LoadDriverConfig& driver = out.driver;
   sim::LoadGenConfig& loadgen = driver.loadgen;
   loadgen.devices = 100;
   loadgen.requests = 500;
@@ -464,25 +462,40 @@ RunResult execute_run(const RunSpec& spec) {
     }
   }
 
-  // -- Invariants --------------------------------------------------------
+  // -- Invariants and crash recovery -------------------------------------
   // auto (= on): the post-event harness runs at every size — its
   // per-event checks read O(1) ledgers and the full scans only run as a
   // periodic audit (docs/FAULTS.md).
-  platform_config.force_invariants = true;
+  platform_config.invariants = core::InvariantMode::kOn;
   if (const std::string* v = get("invariants")) {
     if (*v == "off") {
-      platform_config.force_invariants = false;
-      platform_config.check_invariants = false;
-    } else if (*v != "auto" && *v != "on" && *v != "force") {
+      platform_config.invariants = core::InvariantMode::kOff;
+    } else if (*v != "auto" && *v != "on") {
       return fail("invariants must be auto|on|off");
+    }
+  }
+  if (const std::string* v = get("recovery")) {
+    if (!parse_on_off(*v, platform_config.crash_recovery)) {
+      return fail("recovery must be on|off");
     }
   }
 
   platform_config.seed = loadgen.seed;
+  return {};
+}
+
+RunResult execute_run(const RunSpec& spec) {
+  RunResult result;
+  Scenario scenario;
+  result.error = configure(spec, scenario);
+  if (!result.error.empty()) return result;
+  const sim::LoadGenConfig& loadgen = scenario.driver.loadgen;
+  // Mobility moves the platform's link; the info reports the base radio.
+  const std::string base_radio = scenario.platform.link.name;
 
   // -- Execute -----------------------------------------------------------
-  core::Platform platform(std::move(platform_config));
-  const core::LoadSummary summary = core::run_load(platform, driver);
+  core::Platform platform(std::move(scenario.platform));
+  const core::LoadSummary summary = core::run_load(platform, scenario.driver);
 
   // -- Reduce ------------------------------------------------------------
   const auto put = [&](const char* key, double value) {
@@ -617,7 +630,7 @@ RunResult execute_run(const RunSpec& spec) {
   result.info.emplace_back("arrival", to_string(loadgen.arrival));
   result.info.emplace_back("platform",
                            core::to_string(platform.config().kind));
-  result.info.emplace_back("link", link.name);  // base radio (pre-handoff)
+  result.info.emplace_back("link", base_radio);
   result.info.emplace_back("profile", to_string(loadgen.profile));
   if (!platform.config().fault_plan.empty()) {
     result.info.emplace_back("faults", platform.config().fault_plan.spec());

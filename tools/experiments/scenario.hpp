@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/load_driver.hpp"
+#include "core/platform.hpp"
 #include "manifest.hpp"
 
 namespace rattrap::experiments {
@@ -32,9 +34,21 @@ struct RunResult {
   [[nodiscard]] std::string to_json(const RunSpec& spec) const;
 };
 
-/// Executes `spec` in-process.  Never throws; config errors (unknown
-/// keys, bad values, missing trace files) come back as !ok with a
-/// diagnostic naming the key.
+/// What one run executes: the platform and load configurations a
+/// RunSpec maps onto.
+struct Scenario {
+  core::PlatformConfig platform;
+  core::LoadDriverConfig driver;
+};
+
+/// Maps `spec` onto `out`.  Returns "" on success, else a diagnostic
+/// naming the offending key (unknown keys, bad values, missing trace
+/// files) — the sweep driver checks every planned run with this before
+/// any executes.
+[[nodiscard]] std::string configure(const RunSpec& spec, Scenario& out);
+
+/// Executes `spec` in-process.  Never throws; a config error comes back
+/// as !ok with configure()'s diagnostic.
 [[nodiscard]] RunResult execute_run(const RunSpec& spec);
 
 /// FNV-1a (the determinism fingerprint used across the repo's tools).
